@@ -13,9 +13,10 @@ guardable ``BENCH_*.json`` in the baseline directory (default:
 ``FRESH_DIR`` and checks them all in one invocation.
 
 A benchmark document is *guardable* when it carries a
-``geomean_speedup`` (optionally with per-family ``families`` speedups —
-``BENCH_batch.json``, ``BENCH_kernel.json``); when it only has
-families, the geomean is computed from them. Documents with neither
+``geomean_speedup`` (optionally with per-family ``families`` speedups);
+when it only has families, the geomean is computed from them
+(``BENCH_dist.json`` is the one committed guardable baseline).
+Documents with neither
 (e.g. ``BENCH_sweep.json``, ``BENCH_corpus.json``, which report raw
 phase timings) are skipped with a note — wall-clock seconds are not
 stable across runner hardware, but a speedup *ratio* measured within
@@ -35,7 +36,7 @@ import sys
 from pathlib import Path
 
 BASELINE_DIR = Path(__file__).resolve().parent.parent / "benchmarks" / "results"
-DEFAULT_BASELINE = BASELINE_DIR / "BENCH_batch.json"
+DEFAULT_BASELINE = BASELINE_DIR / "BENCH_dist.json"
 
 
 def extract(doc: dict):

@@ -802,8 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch", type=int, default=None, metavar="N",
         help="points per worker dispatch (default: load-balanced); "
-        "larger batches amortize shared batch plans when "
-        "REPRO_KERNEL=batched",
+        "larger batches amortize shared batch plans",
     )
     p.add_argument(
         "--recycle", type=int, default=0, metavar="N",

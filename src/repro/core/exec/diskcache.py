@@ -8,7 +8,7 @@ overridable via ``REPRO_CACHE_DIR``)::
     <root>/v<SCHEMA>/plans/<sha256>.npz      batch plans (columnar trace
                                              derivations + per-geometry
                                              predictor outcomes consumed
-                                             by the batched kernels; a
+                                             by the kernel; a
                                              ``__meta__`` JSON member
                                              records provenance for
                                              ``corpus gc``)

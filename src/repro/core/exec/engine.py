@@ -82,7 +82,7 @@ _disk_cache_configured = False
 _trace_memo: Dict[Tuple[str, int, int], object] = {}
 
 #: In-process memo of batch plans (columnar derivations + predictor
-#: replay consumed by batched kernels), keyed by
+#: replay consumed by the kernel), keyed by
 #: (workload, length, seed, PredictorGeometry). Chunk dispatch groups
 #: points by trace, so a warm worker amortizes one plan across every
 #: config of a geometry family, exactly like the trace memo.
@@ -254,6 +254,22 @@ def set_remote_plan_fetcher(
     _remote_plan_fetcher = fetcher
 
 
+def _load_plan(disk: DiskCache, key: str, geometry, n: int):
+    """The disk tier's plan for *key*, or ``None`` when it is absent,
+    unreadable, or was built from a slice of another length."""
+    from repro.trace.columnar import BatchPlan
+
+    hit = disk.load_plan(key)
+    if hit is None:
+        return None
+    arrays, _meta = hit
+    try:
+        plan = BatchPlan.from_payload(geometry, arrays)
+    except Exception:
+        return None  # missing columns: rebuild
+    return plan if len(plan.line_ix) == n else None
+
+
 def fetch_batch_plan(point: SweepPoint, trace):
     """Batch plan for *point*, via memo -> disk cache -> remote -> build.
 
@@ -263,7 +279,7 @@ def fetch_batch_plan(point: SweepPoint, trace):
     backing corpus entry is gone.
     """
     from repro.core.passes.kernel import batch_geometry
-    from repro.trace.columnar import BatchPlan, build_batch_plan
+    from repro.trace.columnar import build_batch_plan
 
     geometry = batch_geometry(point.config)
     memo_key = (point.workload, point.length, point.seed, geometry)
@@ -271,50 +287,31 @@ def fetch_batch_plan(point: SweepPoint, trace):
     if plan is not None:
         return plan
     disk = get_disk_cache()
-    key = plan_key(point, geometry) if disk is not None else None
     if disk is not None:
-        hit = disk.load_plan(key)
-        if hit is not None:
-            arrays, _meta = hit
-            try:
-                plan = BatchPlan.from_payload(geometry, arrays)
-            except Exception:
-                plan = None  # missing columns: rebuild below
-        if plan is not None and len(plan.line_ix) == len(trace):
-            _plan_memo[memo_key] = plan
-            return plan
-        plan = None
-    if disk is not None and _remote_plan_fetcher is not None:
-        # Remote tier between the disk cache and a local build: adopt
-        # the fetched bytes into the disk cache, then load through the
-        # normal (corruption-tolerant) path.
-        blob = _remote_plan_fetcher(key)
-        if blob and disk.adopt_plan(key, blob):
-            hit = disk.load_plan(key)
-            if hit is not None:
-                arrays, _meta = hit
-                try:
-                    plan = BatchPlan.from_payload(geometry, arrays)
-                except Exception:
-                    plan = None
-            if plan is not None and len(plan.line_ix) == len(trace):
-                _plan_memo[memo_key] = plan
-                return plan
-            plan = None
-    plan = build_batch_plan(trace, geometry)
-    if disk is not None:
-        source = "synth"
-        if point.workload.startswith(CORPUS_PREFIX):
-            spec = _corpus_resolve().corpus_point_spec(point.workload)
-            source = spec["content"]
-        meta = {
-            "workload": point.workload,
-            "length": point.length,
-            "seed": point.seed,
-            "geometry": geometry.key_fields(),
-            "source": source,
-        }
-        disk.store_plan(key, plan.payload(), meta)
+        key = plan_key(point, geometry)
+        plan = _load_plan(disk, key, geometry, len(trace))
+        if plan is None and _remote_plan_fetcher is not None:
+            # Remote tier between the disk cache and a local build: adopt
+            # the fetched bytes into the disk cache, then load through
+            # the normal (corruption-tolerant) path.
+            blob = _remote_plan_fetcher(key)
+            if blob and disk.adopt_plan(key, blob):
+                plan = _load_plan(disk, key, geometry, len(trace))
+    if plan is None:
+        plan = build_batch_plan(trace, geometry)
+        if disk is not None:
+            source = "synth"
+            if point.workload.startswith(CORPUS_PREFIX):
+                spec = _corpus_resolve().corpus_point_spec(point.workload)
+                source = spec["content"]
+            meta = {
+                "workload": point.workload,
+                "length": point.length,
+                "seed": point.seed,
+                "geometry": geometry.key_fields(),
+                "source": source,
+            }
+            disk.store_plan(key, plan.payload(), meta)
     _plan_memo[memo_key] = plan
     return plan
 
@@ -348,7 +345,7 @@ def execute_point(point: SweepPoint) -> SimResult:
     sim = build_simulator(point.config, trace, probe=probe)
     bplan = None
     if sim.kernel_engine() == "batched":
-        # Batched points consume the shared per-(trace, geometry) plan;
+        # Kernel points consume the shared per-(trace, geometry) plan;
         # the plan fetch is memoized, so a warm worker builds it once
         # for every config of the family.
         bplan = fetch_batch_plan(point, trace)
@@ -514,10 +511,10 @@ def _chunk_pairs(
     Points are bucketed by (workload, length, seed) so a worker reuses
     one synthesized trace across its whole chunk; within a bucket they
     are ordered by predictor size so configs sharing a batch-plan
-    geometry land adjacent (one plan build serves the run of them when
-    the batched engine is active); chunks are bounded so the pool stays
-    load-balanced even when one workload dominates. *batch* overrides
-    the load-balancing bound with an explicit chunk size.
+    geometry land adjacent (one plan build serves the run of them);
+    chunks are bounded so the pool stays load-balanced even when one
+    workload dominates. *batch* overrides the load-balancing bound with
+    an explicit chunk size.
     """
     order = sorted(
         range(len(pairs)),

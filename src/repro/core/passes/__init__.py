@@ -10,8 +10,8 @@ tick — except the "tick" here is the whole cycle loop:
    into a :class:`~repro.core.passes.dag.KernelPlan`: the component DAG
    (PC-gen/BTB access, FTQ push, FDIP prefetch, fetch, backend admit,
    d-side memory, obs probe) with dead components marked, plus every
-   structural constant (masks, latencies, fold geometry) hoisted out of
-   the hardware objects the config would build.
+   structural constant (masks, latencies, predictor geometry) hoisted
+   out of the hardware objects the config would build.
 2. :class:`~repro.core.passes.schedule.SchedulePass` topologically
    sorts the live components into the static per-cycle order.
 3. :class:`~repro.core.passes.codegen.CodegenPass` walks the schedule
@@ -21,11 +21,14 @@ tick — except the "tick" here is the whole cycle loop:
 4. :mod:`~repro.core.passes.kernel` ``compile()``s the source and
    caches the kernel by config content-hash.
 
-The compiled kernel *reuses the reference hardware state objects*
-(BTB stores, predictor tables, caches) and only inlines their hot
-paths; rare mutations (allocate, L2 promote, split, pull) call the
-reference methods on the same objects, so results are bit-identical to
-the interpreter by construction — and the differential golden tests
+This is the one fast engine; the interpreter stays as the executable
+specification. The kernel reads the branch predictors' decisions from a
+shared :class:`~repro.trace.columnar.BatchPlan` (one per trace and
+predictor geometry) and *reuses the reference hardware state objects*
+for everything else (BTB stores, caches, backend rings), inlining only
+their hot paths; rare mutations (allocate, L2 promote, split, pull) call
+the reference methods on the same objects, so results are bit-identical
+to the interpreter by construction — and the differential golden tests
 (tests/kernel/) verify it.
 """
 

@@ -9,30 +9,36 @@ generation time:
 * the probe, the L2 BTB level (ideal configs), the R-BTB overflow pool,
   the d-side memory (ideal backend) and other dead components emit no
   code at all;
-* the hashed perceptron, folded-history updates and the per-kind BTB
-  scan are fully unrolled/inlined.
+* the per-kind BTB scan is fully inlined.
+
+The kernel consumes a :class:`~repro.trace.columnar.BatchPlan` — the
+trace's derived arrays plus the prediction engine's per-branch outcomes,
+built once per (trace, predictor geometry) and shared by every config of
+that family. ``PredictionEngine.resolve`` trains on trace outcomes only,
+never on BTB state, so the plan's direction/RAS/indirect reads replace
+the predictor replay without changing a single decision. The plan's
+``next_br`` and ``run_end`` offsets let the scan jump over non-branch
+runs and the FTQ push jump between cache-line run boundaries; both
+consume exactly the instructions the reference loops consume.
 
 Bit-identity strategy: the kernel operates on the *same hardware state
-objects* the interpreter would use (``sim.btb``, ``sim.engine``,
-``sim.memory``, ``sim.backend``). Hot paths are inlined against their
-internals (set-dicts, weight tables, ring buffers); rare paths
-(allocate, L2 promote, split/pull, cache miss) call the reference
-methods on those objects. Inlined fast paths are written so that a
-fall-through to the reference method re-executes only side-effect-free
-probes (a failed ``dict.get`` has no LRU effect), which keeps LRU tick
-sequencing and replacement decisions identical to the interpreter.
+objects* the interpreter would use (``sim.btb``, ``sim.memory``,
+``sim.backend``). Hot paths are inlined against their internals
+(set-dicts, ring buffers); rare paths (allocate, L2 promote,
+split/pull, cache miss) call the reference methods on those objects.
+Inlined fast paths are written so that a fall-through to the reference
+method re-executes only side-effect-free probes (a failed ``dict.get``
+has no LRU effect), which keeps LRU tick sequencing and replacement
+decisions identical to the interpreter. The predictor objects on
+``sim.engine`` are never touched: their evolution lives in the plan.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.core.passes.dag import KernelPlan
 from repro.core.passes.schedule import Schedule
-
-MASK64 = (1 << 64) - 1
-_HASH_K = 0x9E3779B97F4A7C15
-_HASH_MUL = 0xBF58476D1CE4E5B9
 
 #: (local suffix, stats counter name), in writeback order. The measured
 #: dict includes a key iff its end-of-run total is > 0, matching the
@@ -114,12 +120,12 @@ class CodegenPass:
         self.plan = plan
         w = _Writer()
         cfg = plan.config
-        w.line(f"# compiled kernel for config {cfg.label!r} (btb_kind={cfg.btb_kind})")
+        w.line(f"# kernel for config {cfg.label!r} (btb_kind={cfg.btb_kind})")
         w.line(f"# schedule: {' -> '.join(schedule.names())}")
         if plan.elided:
             w.line(f"# elided components: {', '.join(plan.elided)}")
         w.line()
-        with w.block("def kernel_run(sim, warmup, sample_structure):"):
+        with w.block("def kernel_run(sim, bplan, warmup, sample_structure):"):
             self._emit_prelude(w)
             with w.block("while admitted < n:"):
                 for comp in schedule.emitted:
@@ -148,35 +154,34 @@ class CodegenPass:
             "loads_col = tr.is_load",
             "stores_col = tr.is_store",
             "maddrs = tr.maddr",
-            "line_ix = tr.line_index()",
             "btb = sim.btb",
-            "engine = sim.engine",
-            "st = engine.stats",
+            "st = sim.stats",
         )
-        # Engine internals. The geometry asserts catch a Simulator wired
+        # The plan. The geometry guard catches a plan built for another
+        # predictor family, the length guard one built from another
+        # trace slice; the remaining guards catch a Simulator wired
         # with hardware that does not match its declared config.
         w.lines(
-            "perc = engine.perceptron",
-            f"if perc.table_entries != {p.ptable_mask + 1}:",
-            "    raise RuntimeError(\"compiled kernel/config mismatch: perceptron\")",
-        )
-        for t in range(16):
-            w.line(f"ptab{t} = perc.tables[{t}]")
-        w.lines("hist = engine.history", "hbits = hist.bits", "ind = engine.indirect")
-        for fs in p.folds:
-            w.line(f"{fs.local} = {fs.attr_path}.value")
-        w.lines(
-            "itab = ind._targets",
-            f"if len(itab) != {p.ind_mask + 1}:",
-            "    raise RuntimeError(\"compiled kernel/config mismatch: indirect\")",
-            "ras = engine.ras._stack",
+            "pg = bplan.geometry",
+            f"if (pg.ptable_mask != {p.ptable_mask} or pg.theta != {p.theta}"
+            f" or pg.ind_mask != {p.ind_mask}"
+            f" or pg.ras_depth != {p.ras_depth}):",
+            "    raise RuntimeError(\"kernel/plan mismatch: geometry\")",
+            "line_ix = bplan.line_ix",
+            "if len(line_ix) != n:",
+            "    raise RuntimeError(\"kernel/plan mismatch: trace length\")",
+            "next_br = bplan.next_br",
+            "run_end = bplan.run_end",
+            "pt_plan = bplan.pt",
+            "rasok_plan = bplan.ras_ok",
+            "ind_plan = bplan.ind_pred",
         )
         # BTB internals.
         w.lines(
             "store = btb.store",
             "l1arr = store.l1",
             f"if l1arr.sets != {p.l1_set_mask + 1}:",
-            "    raise RuntimeError(\"compiled kernel/config mismatch: btb geometry\")",
+            "    raise RuntimeError(\"kernel/config mismatch: btb geometry\")",
             "l1_sets = l1arr._sets",
         )
         if p.has_l2:
@@ -192,7 +197,7 @@ class CodegenPass:
             w.line("bb_train = btb._train_branch")
         elif kind == "mbbtb":
             w.lines("mb_train = btb._train_branch", "mb_update = btb._update_slot")
-        # Memory internals (always present in compiled runs).
+        # Memory internals (always present in kernel runs).
         w.lines(
             "mem = sim.memory",
             "itlb_arr = mem.itlb.array",
@@ -207,7 +212,7 @@ class CodegenPass:
             f"if (l1i_arr.sets != {p.l1i_set_mask + 1} or l1i.latency != {p.l1i_latency}"
             f" or itlb_arr.sets != {p.itlb_set_mask + 1}"
             f" or mem.itlb.latency != {p.itlb_latency}):",
-            "    raise RuntimeError(\"compiled kernel/config mismatch: memory\")",
+            "    raise RuntimeError(\"kernel/config mismatch: memory\")",
         )
         # Backend internals.
         w.line("backend = sim.backend")
@@ -216,7 +221,7 @@ class CodegenPass:
                 "reg_ready = backend._reg_ready",
                 "commit_ring = backend._commit_ring",
                 f"if len(commit_ring) != {p.bk_window}:",
-                "    raise RuntimeError(\"compiled kernel/config mismatch: backend\")",
+                "    raise RuntimeError(\"kernel/config mismatch: backend\")",
             )
         else:
             w.lines(
@@ -232,7 +237,7 @@ class CodegenPass:
                 f"if (len(commit_ring) != {p.bk_rob} or len(disp_ring) != {p.bk_width}"
                 f" or len(fq_ring) != {p.bk_fq} or len(load_ring) != {p.bk_load_ports}"
                 f" or len(store_ring) != {p.bk_store_ports}):",
-                "    raise RuntimeError(\"compiled kernel/config mismatch: backend\")",
+                "    raise RuntimeError(\"kernel/config mismatch: backend\")",
                 # d-side memory (live only with the OoO backend)
                 "dtlb_arr = mem.dtlb.array",
                 "dtlb_sets = dtlb_arr._sets",
@@ -250,7 +255,7 @@ class CodegenPass:
                 f" or mem.dtlb.latency != {p.dtlb_latency}"
                 f" or dstride.table_entries != {p.dstride_entries}"
                 f" or dstride.degree != {p.dstride_degree}):",
-                "    raise RuntimeError(\"compiled kernel/config mismatch: memory\")",
+                "    raise RuntimeError(\"kernel/config mismatch: memory\")",
             )
         # Per-run queues and loop state.
         w.lines(
@@ -262,7 +267,6 @@ class CodegenPass:
             "line_avail_touch = line_avail.move_to_end",
             "line_avail_evict = line_avail.popitem",
             "pending_events = {}",
-            f"HM = (1 << 256) - 1",
             "cycle = 0",
             "i_pcgen = 0",
             "admitted = 0",
@@ -285,23 +289,6 @@ class CodegenPass:
 
     # -- shared emitters --------------------------------------------------
 
-    def _emit_hash(self, w: _Writer, out: str, value_expr: str) -> None:
-        """Inline mix_hash for a single value."""
-        w.line(f"{out} = ({_HASH_K} ^ {value_expr} & {MASK64}) * {_HASH_MUL} & {MASK64}")
-        w.line(f"{out} ^= {out} >> 29")
-
-    def _emit_history_push(self, w: _Writer, bit: str) -> None:
-        """Unrolled GlobalHistory.push for all registered folds."""
-        for fs in self.plan.folds:
-            wm = (1 << fs.width) - 1
-            w.line(
-                f"v = (({fs.local} << 1) | {bit}) ^ "
-                f"(((hbits >> {fs.length - 1}) & 1) << {fs.out_pos})"
-            )
-            w.line(f"v ^= v >> {fs.width}")
-            w.line(f"{fs.local} = v & {wm}")
-        w.line(f"hbits = ((hbits << 1) | {bit}) & HM")
-
     def _emit_note_btb(self, w: _Writer, lvl_expr: str) -> None:
         """Inline PredictionEngine.note_btb (taken branches only)."""
         with w.block("if taken:"):
@@ -312,54 +299,22 @@ class CodegenPass:
                 with w.block(f"elif {lvl_expr} == 2:"):
                     w.line("c_l2h += 1")
 
-    def _emit_ras_push(self, w: _Writer) -> None:
-        w.line(f"if len(ras) >= {self.plan.ras_depth}:")
-        w.line("    del ras[0]")
-        w.line("ras.append(pc + 4)")
-
     def _emit_resolve(self, w: _Writer) -> None:
-        """Inline PredictionEngine.resolve.
+        """PredictionEngine.resolve, reading the predictors' decisions
+        from the plan.
 
-        Inputs: pc, bt, taken, target, known, slot. Output: res with
-        0=seq, 1=redirect, 2=misfetch, 3=mispredict.
+        Inputs: j, bt, taken, target, known, slot. Output: res with
+        0=seq, 1=redirect, 2=misfetch, 3=mispredict. The perceptron
+        direction, RAS match and indirect-table read come from the plan,
+        which did all predictor training once; the only per-config
+        piece left is the BTB-fallback indirect prediction
+        (``predicted == 0 and known``), which reads this config's slot.
         """
-        p = self.plan
-        pm = p.ptable_mask
         w.line("c_dbr += 1")
         with w.block("if taken:"):
             w.line("c_dtk += 1")
         with w.block("if bt == 1:"):  # COND_DIRECT
-            # perceptron.predict — one fused expression: no index locals
-            # on the (hot) no-train path; the train arm recomputes each
-            # index from h and the fold locals, which are unchanged until
-            # the history push below.
-            self._emit_hash(w, "h", "pc")
-            index = [f"h & {pm}"]
-            index += [f"(h ^ pf{t} ^ {t << 3}) & {pm}" for t in range(1, 16)]
-            w.line(
-                "total = "
-                + " + ".join(f"ptab{t}[{ix}]" for t, ix in enumerate(index))
-            )
-            w.line("pt = total >= 0")
-            # perceptron.update (skip iff pt == taken and abs(total) > theta)
-            with w.block(
-                f"if pt != taken or ({-p.theta} <= total <= {p.theta}):"
-            ):
-                with w.block("if taken:"):
-                    for t, ix in enumerate(index):
-                        w.line(f"i = {ix}")
-                        w.line(f"wt = ptab{t}[i] + 1")
-                        w.line("if wt < 128:")
-                        w.line(f"    ptab{t}[i] = wt")
-                with w.block("else:"):
-                    for t, ix in enumerate(index):
-                        w.line(f"i = {ix}")
-                        w.line(f"wt = ptab{t}[i] - 1")
-                        w.line("if wt > -129:")
-                        w.line(f"    ptab{t}[i] = wt")
-            # history.push(taken)
-            w.line("hb = 1 if taken else 0")
-            self._emit_history_push(w, "hb")
+            w.line("pt = pt_plan[j] == 1")
             with w.block("if not known:"):
                 with w.block("if taken:"):
                     w.lines("c_mp += 1", "c_mpcu += 1", "res = 3")
@@ -370,41 +325,91 @@ class CodegenPass:
             with w.block("else:"):
                 w.line("res = 1 if taken else 0")
         with w.block("else:"):
-            # All remaining types are unconditionally taken.
-            self._emit_history_push(w, "1")
-            with w.block("if bt == 2 or bt == 3:"):  # UNCOND_DIRECT / CALL_DIRECT
-                with w.block("if bt == 3:"):
-                    self._emit_ras_push(w)
+            with w.block("if bt == 2 or bt == 3:"):  # UNCOND/CALL_DIRECT
                 with w.block("if known:"):
                     w.line("res = 1")
                 with w.block("else:"):
                     w.lines("c_mf += 1", "res = 2")
             with w.block("elif bt == 4:"):  # RETURN
-                with w.block("if ras:"):
-                    w.line("ras_ok = ras.pop() == target")
+                with w.block("if rasok_plan[j]:"):
+                    with w.block("if known:"):
+                        w.line("res = 1")
+                    with w.block("else:"):
+                        w.lines("c_mf += 1", "res = 2")
                 with w.block("else:"):
-                    w.line("ras_ok = False")
-                with w.block("if not ras_ok:"):
                     w.lines("c_mp += 1", "c_mpr += 1", "res = 3")
-                with w.block("elif known:"):
-                    w.line("res = 1")
-                with w.block("else:"):
-                    w.lines("c_mf += 1", "res = 2")
             with w.block("else:"):  # INDIRECT / CALL_INDIRECT
-                self._emit_hash(w, "h2", "pc")
-                w.line(f"ii = (h2 ^ jf) & {p.ind_mask}")
-                w.line("predicted = itab[ii]")
+                w.line("predicted = ind_plan[j]")
                 with w.block("if predicted == 0 and known:"):
                     w.line("predicted = slot.target")
-                w.line("itab[ii] = target")
-                with w.block("if bt == 6:"):
-                    self._emit_ras_push(w)
                 with w.block("if not known:"):
                     w.lines("c_mp += 1", "c_mpiu += 1", "res = 3")
                 with w.block("elif predicted != target:"):
                     w.lines("c_mp += 1", "c_mpi += 1", "res = 3")
                 with w.block("else:"):
                     w.line("res = 1")
+
+    def _emit_next_branch(
+        self, w: _Writer, room_expr: str, exhausted: Tuple[str, ...] = ("break",)
+    ) -> None:
+        """Scan-loop head: advance ``j`` to the next branch in reach.
+
+        ``room_expr`` is the number of instructions the enclosing loop
+        could still consume (fetch width or region/block span);
+        ``exhausted`` is emitted when the trace runs out. A run of
+        non-branch instructions is consumed in one step via the plan's
+        ``next_br`` offset — exactly what the reference one-at-a-time
+        loop consumes: each non-branch advances ``pc`` by 4 and
+        ``count`` by 1, capped by the room. ``continue`` re-checks the
+        loop condition, so natural-exit ``else`` clauses (B-BTB/MB-BTB
+        split bubbles) still fire.
+        """
+        w.line("j = i_pcgen + count")
+        with w.block("if j >= n:"):
+            w.lines(*exhausted)
+        w.line("gap = next_br[j]")
+        with w.block("if gap:"):
+            w.line(f"room = {room_expr}")
+            with w.block("if gap >= room:"):
+                w.lines("pc += room << 2", "count += room", "continue")
+            w.lines("pc += gap << 2", "count += gap", "j += gap")
+            with w.block("if j >= n:"):
+                w.line("continue")
+        w.lines("bt = btypes[j]", "count += 1")
+
+    def _emit_slot_search(
+        self, w: _Writer, tick: str, on_miss: Optional[Callable[[], None]] = None
+    ) -> None:
+        """Find this PC's slot in a hit R-BTB/B-BTB entry, touching its
+        LRU tick; ``on_miss`` emits the fallback for a hit entry that
+        holds no slot for the PC (the R-BTB overflow pool)."""
+        w.line("slot = None")
+        with w.block("if entry is not None:"):
+            w.line("spos = 0")
+            with w.block("for s_ in entry.slots:"):
+                with w.block("if s_.pc == pc:"):
+                    w.lines("slot = s_", "break")
+                w.line("spos += 1")
+            with w.block("if slot is not None:"):
+                w.line(f"entry.ticks[spos] = {tick}")
+            if on_miss is not None:
+                with w.block("else:"):
+                    on_miss()
+
+    def _emit_outcome(self, w: _Writer, slot_level: bool) -> None:
+        """Read the branch's trace outcome, count the BTB lookup and
+        resolve it (sets ``known``, ``taken``, ``target`` and ``res``).
+
+        ``slot_level``: the entry holds several slots, so it can hit
+        while this PC's slot misses — the lookup counts as a miss then.
+        """
+        w.lines("known = slot is not None", "taken = takens[j] == 1", "target = targets[j]")
+        lvl = "lvl"
+        if slot_level:
+            w.line("nlvl = lvl if known else 0")
+            lvl = "nlvl"
+        self._emit_note_btb(w, lvl)
+        self._emit_resolve(w)
 
     def _emit_store_lookup(self, w: _Writer, key_expr: str) -> None:
         """Inline TwoLevelStore.lookup -> (lvl, entry).
@@ -512,18 +517,10 @@ class CodegenPass:
         cfg = self.plan.config
         w.line("pc = pcs[i_pcgen]")
         with w.block(f"while count < {cfg.width}:"):
-            w.line("j = i_pcgen + count")
-            with w.block("if j >= n:"):
-                w.line("break")
-            w.line("bt = btypes[j]")
-            w.line("count += 1")
-            with w.block("if bt == 0:"):
-                w.lines("pc += 4", "continue")
+            self._emit_next_branch(w, f"{cfg.width} - count")
             self._emit_store_lookup(w, "pc")
             w.line("slot = entry")
-            w.lines("known = slot is not None", "taken = takens[j] == 1", "target = targets[j]")
-            self._emit_note_btb(w, "lvl")
-            self._emit_resolve(w)
+            self._emit_outcome(w, slot_level=False)
             with w.block("if taken:"):
                 with w.block("if slot is None:"):
                     w.line("ibtb_train(pc, bt, True, target, None)")
@@ -545,6 +542,9 @@ class CodegenPass:
         rb = cfg.region_bytes
         overflow = self._rb_overflow()
         interleaved = cfg.interleaved
+        # A 2L1 scan may continue into the next region; ``done`` tells
+        # the outer loop that this region's scan ended the access.
+        finish = ("done = True", "break") if interleaved else ("break",)
         w.line("pc = pcs[i_pcgen]")
         w.line("btb._tick = rb_tick = btb._tick + 1")
         if interleaved:
@@ -561,38 +561,23 @@ class CodegenPass:
         self._emit_store_lookup(w, "region")
         w.line(f"region_end = region + {rb}")
         with w.block("while pc < region_end:"):
-            w.line("j = i_pcgen + count")
-            with w.block("if j >= n:"):
-                if interleaved:
-                    w.line("done = True")
-                w.line("break")
-            w.line("bt = btypes[j]")
-            w.line("count += 1")
-            with w.block("if bt == 0:"):
-                w.lines("pc += 4", "continue")
-            w.lines("slot = None", "from_overflow = False")
-            with w.block("if entry is not None:"):
-                w.line("spos = 0")
-                with w.block("for s_ in entry.slots:"):
-                    with w.block("if s_.pc == pc:"):
-                        w.lines("slot = s_", "break")
-                    w.line("spos += 1")
-                with w.block("if slot is not None:"):
-                    w.line("entry.ticks[spos] = rb_tick")
-                if overflow:
-                    with w.block("else:"):
-                        w.line("oe = ovf_set.get(pc)")
-                        with w.block("if oe is not None:"):
-                            w.lines(
-                                "ovf_arr._tick = ovt = ovf_arr._tick + 1",
-                                "oe[1] = ovt",
-                                "slot = oe[0]",
-                                "from_overflow = True",
-                            )
-            w.lines("known = slot is not None", "taken = takens[j] == 1", "target = targets[j]")
-            w.line("nlvl = lvl if known else 0")
-            self._emit_note_btb(w, "nlvl")
-            self._emit_resolve(w)
+            self._emit_next_branch(w, "(region_end - pc) >> 2", finish)
+            on_miss = None
+            if overflow:
+                w.line("from_overflow = False")
+
+                def on_miss() -> None:
+                    w.line("oe = ovf_set.get(pc)")
+                    with w.block("if oe is not None:"):
+                        w.lines(
+                            "ovf_arr._tick = ovt = ovf_arr._tick + 1",
+                            "oe[1] = ovt",
+                            "slot = oe[0]",
+                            "from_overflow = True",
+                        )
+
+            self._emit_slot_search(w, "rb_tick", on_miss)
+            self._emit_outcome(w, slot_level=True)
             with w.block("if taken:"):
                 with w.block("if slot is not None:"):
                     w.line("slot.target = target")
@@ -601,32 +586,31 @@ class CodegenPass:
             with w.block("if res == 0:"):
                 w.lines("pc += 4", "continue")
             with w.block("if res == 1:"):
-                if p.has_l2:
-                    w.line(f"bubbles = 3 if lvl == 2 else {cfg.l1_taken_bubble}")
-                else:
-                    w.line(f"bubbles = {cfg.l1_taken_bubble}")
+                self._redirect_bubbles(w)
                 if overflow:
                     with w.block("if from_overflow:"):
                         w.line(f"bubbles += {p.rb_overflow_bubble}")
-                with w.block("if bt == 5 or bt == 6:"):
-                    w.line("bubbles += 1")
-                w.line("acc_bubbles = bubbles")
-                if interleaved:
-                    w.line("done = True")
-                w.line("break")
-            w.lines("acc_event = res", "acc_ei = j")
-            if interleaved:
-                w.line("done = True")
-            w.line("break")
+                w.lines("acc_bubbles = bubbles", *finish)
+            w.lines("acc_event = res", "acc_ei = j", *finish)
         if interleaved:
             with w.block("if done:"):
                 w.line("break")
             w.line("pc = region_end")
             outer.__exit__(None, None, None)
 
+    def _emit_block_end(self, w: _Writer) -> None:
+        """Natural scan exit of a B-BTB/MB-BTB block: charge the split
+        bubble when the block's entry was split."""
+        split_bubble = self.plan.config.split_bubble
+        if split_bubble:
+            with w.block("else:"):
+                w.line(
+                    f"acc_bubbles = {split_bubble} "
+                    "if (entry is not None and entry.split) else 0"
+                )
+
     def _emit_scan_bbtb(self, w: _Writer) -> None:
-        p = self.plan
-        cfg = p.config
+        cfg = self.plan.config
         w.line("pc = pcs[i_pcgen]")
         w.line("block_start = pc")
         self._emit_store_lookup(w, "pc")
@@ -636,26 +620,9 @@ class CodegenPass:
             w.line(f"end_pc = pc + {cfg.block_insts * 4}")
         w.line("btb._tick = bb_tick = btb._tick + 1")
         with w.block("while pc < end_pc:"):
-            w.line("j = i_pcgen + count")
-            with w.block("if j >= n:"):
-                w.line("break")
-            w.line("bt = btypes[j]")
-            w.line("count += 1")
-            with w.block("if bt == 0:"):
-                w.lines("pc += 4", "continue")
-            w.line("slot = None")
-            with w.block("if entry is not None:"):
-                w.line("spos = 0")
-                with w.block("for s_ in entry.slots:"):
-                    with w.block("if s_.pc == pc:"):
-                        w.lines("slot = s_", "break")
-                    w.line("spos += 1")
-                with w.block("if slot is not None:"):
-                    w.line("entry.ticks[spos] = bb_tick")
-            w.lines("known = slot is not None", "taken = takens[j] == 1", "target = targets[j]")
-            w.line("nlvl = lvl if known else 0")
-            self._emit_note_btb(w, "nlvl")
-            self._emit_resolve(w)
+            self._emit_next_branch(w, "(end_pc - pc) >> 2")
+            self._emit_slot_search(w, "bb_tick")
+            self._emit_outcome(w, slot_level=True)
             with w.block("if taken:"):
                 with w.block("if slot is not None:"):
                     w.line("slot.target = target")
@@ -667,16 +634,10 @@ class CodegenPass:
                 self._redirect_bubbles(w)
                 w.lines("acc_bubbles = bubbles", "break")
             w.lines("acc_event = res", "acc_ei = j", "break")
-        if cfg.split_bubble:
-            with w.block("else:"):
-                w.line(
-                    f"acc_bubbles = {cfg.split_bubble} "
-                    "if (entry is not None and entry.split) else 0"
-                )
+        self._emit_block_end(w)
 
     def _emit_scan_mbbtb(self, w: _Writer) -> None:
-        p = self.plan
-        cfg = p.config
+        cfg = self.plan.config
         w.line("pc = pcs[i_pcgen]")
         w.line("block_start = pc")
         self._emit_store_lookup(w, "pc")
@@ -686,22 +647,13 @@ class CodegenPass:
         with w.block("else:"):
             w.line(f"end_pc = pc + {cfg.block_insts * 4}")
         with w.block("while pc < end_pc:"):
-            w.line("j = i_pcgen + count")
-            with w.block("if j >= n:"):
-                w.line("break")
-            w.line("bt = btypes[j]")
-            w.line("count += 1")
-            with w.block("if bt == 0:"):
-                w.lines("pc += 4", "continue")
+            self._emit_next_branch(w, "(end_pc - pc) >> 2")
             w.line("slot = None")
             with w.block("if entry is not None:"):
                 with w.block("for s_ in entry.slots:"):
                     with w.block("if s_.blk_id == blk and s_.pc == pc:"):
                         w.lines("slot = s_", "break")
-            w.lines("known = slot is not None", "taken = takens[j] == 1", "target = targets[j]")
-            w.line("nlvl = lvl if known else 0")
-            self._emit_note_btb(w, "nlvl")
-            self._emit_resolve(w)
+            self._emit_outcome(w, slot_level=True)
             with w.block("if taken:"):
                 with w.block("if slot is not None:"):
                     with w.block("if slot.btype == 5 or slot.btype == 6:"):
@@ -745,12 +697,7 @@ class CodegenPass:
                 self._redirect_bubbles(w)
                 w.lines("acc_bubbles = bubbles", "break")
             w.lines("acc_event = res", "acc_ei = j", "break")
-        if cfg.split_bubble:
-            with w.block("else:"):
-                w.line(
-                    f"acc_bubbles = {cfg.split_bubble} "
-                    "if (entry is not None and entry.split) else 0"
-                )
+        self._emit_block_end(w)
 
     # -- FTQ push + FDIP prefetch ----------------------------------------
 
@@ -772,23 +719,26 @@ class CodegenPass:
 
     def emit_access_commit(self, w: _Writer) -> None:
         """Consume one Access: stats, line segmentation, FTQ pushes,
-        FDIP prefetches and the pending-event / bubble bookkeeping."""
+        FDIP prefetches and the pending-event / bubble bookkeeping.
+
+        The covered indices are segmented into cache lines by jumping
+        between the plan's ``run_end`` boundaries instead of comparing
+        per-PC line indices."""
         with w.block("if count > 0:"):
             w.lines("c_acc += 1", "c_fpc += count", "c_bpa += blocks")
-            w.lines(
-                "seg_start = i_pcgen",
-                "seg_line = line_ix[seg_start]",
-                "seg_count = 1",
-            )
-            with w.block("for jj in range(i_pcgen + 1, i_pcgen + count):"):
-                w.line("line = line_ix[jj]")
-                with w.block("if line == seg_line:"):
-                    w.lines("seg_count += 1", "continue")
+            w.lines("seg_start = i_pcgen", "end_ = i_pcgen + count")
+            with w.block("while True:"):
+                w.line("seg_line = line_ix[seg_start]")
+                w.line("re_ = seg_start + run_end[seg_start]")
+                w.line("nxt = re_ if re_ < end_ else end_")
+                w.line("seg_count = nxt - seg_start")
+                with w.block("if nxt >= end_:"):
+                    w.line("break")
                 w.line(
                     "ftq_append([seg_line, seg_start, seg_count, cycle, 0 if ftq else 1])"
                 )
                 self._emit_fdip_prefetch(w, "seg_line")
-                w.lines("seg_start = jj", "seg_line = line", "seg_count = 1")
+                w.line("seg_start = nxt")
             w.line(
                 "ftq_append([seg_line, seg_start, seg_count, cycle, 0 if ftq else 1])"
             )
@@ -1064,11 +1014,9 @@ class CodegenPass:
 
     def _emit_finalize(self, w: _Writer) -> None:
         p = self.plan
-        # Write live predictor/backend state back onto the objects so a
-        # post-run inspection sees exactly what the interpreter leaves.
-        w.line("hist.bits = hbits")
-        for fs in p.folds:
-            w.line(f"{fs.attr_path}.value = {fs.local}")
+        # Write the backend's run state back so a post-run inspection
+        # sees what the interpreter leaves. The predictor objects are
+        # left cold: their evolution lives in the plan.
         w.line("backend._last_commit = last_commit")
         if not p.ideal_backend:
             w.lines(
@@ -1091,6 +1039,7 @@ class CodegenPass:
             if p.has_l2:
                 w.line('structure["l2_slot_occupancy"] = btb.slot_occupancy(2)')
                 w.line('structure["l2_redundancy"] = btb.redundancy_ratio(2)')
+        # A warmup-only window leaves cyc == 0: clamp as the interpreter does.
         w.line("cyc = last_commit - warm_commit")
         with w.block("if cyc < 1:"):
             w.line("cyc = 1")

@@ -2,9 +2,9 @@
 
 The pass instantiates the same hardware objects ``build_simulator``
 would create (throwaway copies), reads every structural constant the
-generated code needs (set masks, index shifts, fold geometry, latencies,
-ring sizes), and builds the component dependency DAG from the port
-declarations in :mod:`repro.core.passes.components`. Reading constants
+generated code needs (set masks, index shifts, predictor geometry,
+latencies, ring sizes), and builds the component dependency DAG from
+the port declarations in :mod:`repro.core.passes.components`. Reading constants
 off real objects instead of re-deriving them keeps the codegen immune
 to drift in the sizing formulas.
 """
@@ -25,17 +25,6 @@ from repro.frontend.engine import PredictionEngine
 from repro.memory.hierarchy import MemoryConfig, MemoryHierarchy
 
 
-@dataclass(frozen=True)
-class FoldSpec:
-    """Geometry of one folded-history register (local-variable form)."""
-
-    local: str  # generated local variable name
-    length: int
-    width: int
-    out_pos: int
-    attr_path: str  # how to bind/write back on the live engine
-
-
 @dataclass
 class KernelPlan:
     """Everything codegen needs, hoisted out of the hardware objects."""
@@ -52,10 +41,9 @@ class KernelPlan:
     l1_set_mask: int = 0
     has_l2: bool = True
     rb_overflow_bubble: int = 1
-    # -- prediction engine ----------------------------------------------
+    # -- prediction engine (the plan geometry the kernel accepts) --------
     ptable_mask: int = 0
     theta: int = 0
-    folds: Tuple[FoldSpec, ...] = ()
     ind_mask: int = 0
     ras_depth: int = 64
     # -- frontend --------------------------------------------------------
@@ -89,33 +77,6 @@ class KernelPlan:
     dstride_degree: int = 2
 
 
-def _fold_specs(engine: PredictionEngine) -> Tuple[FoldSpec, ...]:
-    specs: List[FoldSpec] = []
-    for t, fold in enumerate(engine.perceptron._folds):
-        if fold is None:
-            continue
-        specs.append(
-            FoldSpec(
-                local=f"pf{t}",
-                length=fold.length,
-                width=fold.width,
-                out_pos=fold._out_pos,
-                attr_path=f"perc._folds[{t}]",
-            )
-        )
-    ind = engine.indirect._fold
-    specs.append(
-        FoldSpec(
-            local="jf",
-            length=ind.length,
-            width=ind.width,
-            out_pos=ind._out_pos,
-            attr_path="ind._fold",
-        )
-    )
-    return tuple(specs)
-
-
 class GenDAGPass:
     """Elaborate *config* into a :class:`KernelPlan`."""
 
@@ -138,7 +99,6 @@ class GenDAGPass:
             has_l2=btb.store.l2 is not None,
             ptable_mask=engine.perceptron._mask,
             theta=engine.perceptron.theta,
-            folds=_fold_specs(engine),
             ind_mask=engine.indirect._mask,
             ras_depth=engine.ras.depth,
             ftq_entries=fe.ftq_entries,

@@ -5,10 +5,12 @@ Codegen), ``compile()``s the generated source and memoizes the result by
 a content-hash of the kernel-relevant config fields — two configs built
 independently with the same fields share one kernel, and re-running a
 sweep over a config family compiles each distinct shape exactly once.
+The kernel consumes a :class:`~repro.trace.columnar.BatchPlan` shared by
+every config of one predictor geometry (:func:`batch_geometry`).
 
-Engine selection is environment-driven: ``REPRO_KERNEL=compiled``
-(default) uses the specialized kernels where supported and falls back to
-the reference interpreter elsewhere; ``REPRO_KERNEL=interp`` forces the
+Engine selection is environment-driven: ``REPRO_KERNEL=batched``
+(default) runs the kernel where supported and falls back to the
+reference interpreter elsewhere; ``REPRO_KERNEL=interp`` forces the
 interpreter everywhere. Results are bit-identical either way, so the
 knob never enters result-cache keys (see ``repro.core.exec.cachekey``).
 """
@@ -26,7 +28,7 @@ from repro.core.passes.dag import GenDAGPass, KernelPlan
 from repro.core.passes.schedule import Schedule, SchedulePass
 
 #: Valid values of the ``REPRO_KERNEL`` environment variable.
-KERNEL_MODES = ("compiled", "interp", "batched")
+KERNEL_MODES = ("batched", "interp")
 
 #: Environment variable selecting the engine.
 KERNEL_ENV = "REPRO_KERNEL"
@@ -35,7 +37,7 @@ KERNEL_ENV = "REPRO_KERNEL"
 #: cache keys; it deliberately does NOT touch ``CACHE_SCHEMA`` because
 #: kernels produce bit-identical results — persisted sweep results stay
 #: valid across kernel changes.
-KERNEL_SCHEMA = 2
+KERNEL_SCHEMA = 3
 
 #: BTB organizations the codegen knows how to specialize. The
 #: heterogeneous hierarchy keeps its own storage scheme and stays on the
@@ -57,7 +59,7 @@ def kernel_mode(env: Optional[Dict[str, str]] = None) -> str:
     source = env if env is not None else os.environ
     raw = source.get(KERNEL_ENV)
     if raw is None or raw == "":
-        return "compiled"
+        return "batched"
     mode = raw.strip().lower()
     if mode not in KERNEL_MODES:
         choices = "|".join(KERNEL_MODES)
@@ -137,50 +139,8 @@ def get_kernel(config) -> CompiledKernel:
     return kernel
 
 
-def get_batch_kernel(config) -> CompiledKernel:
-    """Batched (plan-consuming) kernel variant for *config*.
-
-    Same pass pipeline as :func:`get_kernel` with
-    :class:`~repro.core.passes.batch.BatchPass` as the codegen stage;
-    cached separately (a ``variant`` discriminator joins the key) so the
-    compiled and batched variants of one config coexist.
-    """
-    global _HITS, _MISSES
-    if not supports(config):
-        raise KernelConfigError(
-            f"config {getattr(config, 'label', config)!r} is not compilable "
-            f"(btb_kind must be one of {SUPPORTED_KINDS})"
-        )
-    key = digest(
-        {
-            "kind": "kernel",
-            "schema": KERNEL_SCHEMA,
-            "variant": "batched",
-            "config": replace(config, label=""),
-        }
-    )
-    kernel = _CACHE.get(key)
-    if kernel is not None:
-        _HITS += 1
-        return kernel
-    _MISSES += 1
-    from repro.core.passes.batch import BatchPass
-
-    plan = GenDAGPass()(config)
-    schedule = SchedulePass()(plan)
-    source = BatchPass()(plan, schedule)
-    namespace = _exec_namespace()
-    code = compile(source, f"<batch-kernel:{config.label}>", "exec")
-    exec(code, namespace)
-    kernel = CompiledKernel(
-        key=key,
-        source=source,
-        fn=namespace["kernel_run"],
-        plan=plan,
-        schedule=schedule,
-    )
-    _CACHE[key] = kernel
-    return kernel
+#: Former name of :func:`get_kernel`, kept for the benchmark's callers.
+get_batch_kernel = get_kernel
 
 
 _GEOMETRY_MEMO: Dict[int, object] = {}

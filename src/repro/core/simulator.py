@@ -132,31 +132,25 @@ class Simulator:
         #: :data:`NULL_PROBE` keeps the run uninstrumented.
         self.probe = probe if probe is not None else NULL_PROBE
         #: The MachineConfig this simulator elaborates (when known); the
-        #: pass pipeline needs it to specialize a compiled tick kernel.
+        #: pass pipeline needs it to specialize a kernel.
         self.config = config
+        self._kernel_ran = False
 
     def kernel_engine(self) -> str:
-        """Engine :meth:`run` will use: ``"batched"``, ``"compiled"`` or
-        ``"interp"``.
+        """Engine :meth:`run` will use: ``"batched"`` or ``"interp"``.
 
-        The compiled/batched engines need the elaborating config (for
-        the pass pipeline), an uninstrumented run (probe call sites are
+        The plan-consuming kernel needs the elaborating config (for the
+        pass pipeline), an uninstrumented run (probe call sites are
         elided, not guarded), the stock frontend/backend/memory shapes,
         and a fresh stats bag (the interpreter's warm-snapshot
         subtraction and the kernel's local counters only agree from
         zero). Anything else falls back to the reference interpreter —
-        bit-identical, slower. ``"batched"`` additionally requires the
-        caller to hand :meth:`run` a shared
-        :class:`~repro.trace.columnar.BatchPlan`; without one, the run
-        degrades to the compiled per-config kernel (same results).
+        bit-identical, slower.
         """
         # Imported lazily: repro.core.passes.dag imports this module.
         from repro.core.passes.kernel import kernel_mode, supports
 
-        mode = kernel_mode()
-        if mode == "interp":
-            return "interp"
-        if not supports(self.config):
+        if kernel_mode() == "interp" or not supports(self.config):
             return "interp"
         if self.probe.enabled or self.memory is None:
             return "interp"
@@ -169,7 +163,7 @@ class Simulator:
             return "interp"
         if self.stats._counters:
             return "interp"
-        return mode
+        return "batched"
 
     def run(
         self,
@@ -179,24 +173,33 @@ class Simulator:
     ) -> SimResult:
         """Simulate the whole trace; measure after *warmup* instructions.
 
-        Dispatches to the batched kernel when eligible and a shared
-        *batch_plan* was provided, else to the per-config compiled
-        kernel when eligible (see :meth:`kernel_engine`), else to the
-        reference interpreter below. All engines produce bit-identical
-        :class:`SimResult`s.
+        Dispatches to the plan-consuming kernel when eligible (see
+        :meth:`kernel_engine`), else to the reference interpreter below;
+        both produce bit-identical results. The kernel reads
+        *batch_plan*, the :class:`~repro.trace.columnar.BatchPlan` shared
+        by this config's predictor-geometry family; without one, the
+        plan is built here for this run alone.
+
+        A simulator runs on the kernel at most once: the kernel leaves
+        the predictor objects cold, so continuing from its state would
+        pair cold predictors with a warm BTB.
         """
-        engine = self.kernel_engine()
-        if engine == "batched" and batch_plan is not None:
-            from repro.core.passes.kernel import get_batch_kernel
-
-            return get_batch_kernel(self.config).fn(
-                self, batch_plan, warmup, sample_structure
+        if self._kernel_ran:
+            raise RuntimeError(
+                "Simulator already ran on the kernel, which leaves its "
+                "predictors cold; build a new one to run again"
             )
-        if engine in ("compiled", "batched"):
-            from repro.core.passes.kernel import get_kernel
+        if self.kernel_engine() == "interp":
+            return self._run_interp(warmup, sample_structure)
+        from repro.core.passes.kernel import batch_geometry, get_kernel
 
-            return get_kernel(self.config).fn(self, warmup, sample_structure)
-        return self._run_interp(warmup, sample_structure)
+        kernel = get_kernel(self.config)
+        if batch_plan is None:
+            from repro.trace.columnar import build_batch_plan
+
+            batch_plan = build_batch_plan(self.trace, batch_geometry(self.config))
+        self._kernel_ran = True
+        return kernel.fn(self, batch_plan, warmup, sample_structure)
 
     def _run_interp(
         self, warmup: int = 0, sample_structure: bool = True

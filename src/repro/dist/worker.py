@@ -8,8 +8,7 @@ fleet capacity. Each session process opens its own coordinator
 connection and loops: request a lease, make sure the trace content the
 lease references is present locally (fetching missing shards by content
 hash, verify-on-receive), execute the points through the unchanged
-interp/compiled/batched kernel chain, and stream one outcome frame per
-point.
+kernel-or-interpreter dispatch, and stream one outcome frame per point.
 
 Network chaos (``REPRO_FAULT_SPEC`` kinds ``drop``/``delay``/
 ``disconnect``) hooks into the lease loop via

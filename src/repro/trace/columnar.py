@@ -1,4 +1,4 @@
-"""Decode-once columnar trace plans for batched sweep execution.
+"""Decode-once columnar trace plans for the simulation kernel.
 
 A sweep runs the *same* workload trace through many machine configs, yet
 every per-config engine walks the Python-object :class:`~repro.trace.trace.Trace`
@@ -28,9 +28,9 @@ This module pays those costs once per workload:
   ``pt`` (perceptron direction prediction), ``ras_ok`` (RAS pop matched
   the return target) and ``ind_pred`` (raw indirect-table read, 0 when
   cold). The replica below mirrors ``PredictionEngine.resolve`` /
-  ``HashedPerceptron`` / ``FoldedRegister`` operation-for-operation, so
-  batched kernels consuming the plan stay bit-identical to the
-  interpreter (enforced by differential goldens in ``tests/kernel/``).
+  ``HashedPerceptron`` / ``FoldedRegister`` decision-for-decision, so
+  kernels consuming the plan stay bit-identical to the interpreter
+  (enforced by differential goldens in ``tests/kernel/``).
 
 Plans are cached on disk as ``.npz`` through the :class:`DiskCache`
 ``plans`` tier, keyed by trace content hash (and predictor geometry for
@@ -41,11 +41,11 @@ backing corpus entry disappears.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from operator import getitem
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.branch.history import MAX_HISTORY
 from repro.branch.indirect import IndirectPredictor
 from repro.branch.perceptron import HISTORY_LENGTHS
 from repro.common.types import ILEN, LINE_BYTES
@@ -53,10 +53,11 @@ from repro.common.types import ILEN, LINE_BYTES
 #: Version of the columnar/predictor-plan layout *and* of the replica
 #: semantics. Bump whenever the derivation or the prediction engine
 #: changes so stale cached plans become unreachable.
-COLUMNAR_SCHEMA = 1
+COLUMNAR_SCHEMA = 2
 
-_M64 = (1 << 64) - 1
-_HMASK = (1 << MAX_HISTORY) - 1
+#: ``repro.common.rng.mix_hash`` constants.
+_HASH_K = 0x9E3779B97F4A7C15
+_HASH_MUL = 0xBF58476D1CE4E5B9
 
 
 # ---------------------------------------------------------------------------
@@ -68,9 +69,7 @@ _HMASK = (1 << MAX_HISTORY) - 1
 class ColumnarTrace:
     """Typed-array view of a trace plus vectorized derived plans.
 
-    All arrays have one entry per instruction. ``ops`` (operand tuples
-    for the admit loop) and the plain-list views consumed by generated
-    kernels are materialized lazily and memoized.
+    All arrays have one entry per instruction.
     """
 
     n: int
@@ -82,20 +81,6 @@ class ColumnarTrace:
     next_br: np.ndarray
     run_end: np.ndarray
     line_ix: np.ndarray
-
-    def __post_init__(self) -> None:
-        self._lists: Optional[Dict[str, list]] = None
-
-    def lists(self) -> Dict[str, list]:
-        """Plain-list views for the generated kernels (list indexing is
-        faster than numpy scalar indexing in CPython hot loops)."""
-        if self._lists is None:
-            self._lists = {
-                "line_ix": self.line_ix.tolist(),
-                "next_br": self.next_br.tolist(),
-                "run_end": self.run_end.tolist(),
-            }
-        return self._lists
 
 
 def _derive(pc: np.ndarray, btype: np.ndarray, taken: np.ndarray,
@@ -160,23 +145,6 @@ class PredictorGeometry:
         }
 
 
-def geometry_for(bp_size_kb: int, indirect_entries: int = 4096,
-                 ras_depth: int = 64) -> PredictorGeometry:
-    """Geometry of the predictors a config of this size elaborates
-    (mirrors ``HashedPerceptron.__init__`` sizing)."""
-    entries = (bp_size_kb * 1024) // len(HISTORY_LENGTHS)
-    table_entries = 32
-    while table_entries * 2 <= entries:
-        table_entries *= 2
-    theta = 2 * len(HISTORY_LENGTHS) + 14
-    return PredictorGeometry(
-        ptable_mask=table_entries - 1,
-        theta=theta,
-        ind_mask=indirect_entries - 1,
-        ras_depth=ras_depth,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Predictor plan
 # ---------------------------------------------------------------------------
@@ -196,166 +164,151 @@ class PredictorPlan:
     ras_ok: np.ndarray
     ind_pred: np.ndarray
 
-    def __post_init__(self) -> None:
-        self._lists: Optional[Dict[str, list]] = None
 
-    def lists(self) -> Dict[str, list]:
-        if self._lists is None:
-            self._lists = {
-                "pt": self.pt.tolist(),
-                "ras_ok": self.ras_ok.tolist(),
-                "ind_pred": self.ind_pred.tolist(),
-            }
-        return self._lists
+def _folds(bits: np.ndarray, width: int,
+           lengths: Sequence[int]) -> List[np.ndarray]:
+    """Every value a ``FoldedRegister(length, width)`` takes as *bits*
+    are pushed, for each of *lengths*: ``folds[i][k]`` is the fold after
+    the first ``k`` pushes.
+
+    The register's circular-shift update unrolls to a closed form: the
+    history bit pushed ``i`` pushes ago sits at position ``i % width``.
+    So a fold is the XOR of the history's ``width``-bit chunks, newest
+    first, with the oldest chunk cut at ``length``.
+    """
+    n = len(bits)
+    lead = max(lengths, default=0) + width
+    padded = np.zeros(lead + n, dtype=np.uint64)
+    padded[lead:] = bits
+    # chunk[lead + k]: the newest `width` bits after k pushes (newest at
+    # bit 0); the leading zeros stand for the empty history.
+    chunk = np.zeros(lead + n + 1, dtype=np.uint64)
+    for r in range(width):
+        chunk[1 + r:] |= padded[:lead + n - r] << np.uint64(r)
+    folds = []
+    for length in lengths:
+        fold = np.zeros(n + 1, dtype=np.uint64)
+        for start in range(0, length, width):
+            keep = np.uint64((1 << min(width, length - start)) - 1)
+            fold ^= chunk[lead - start:lead - start + n + 1] & keep
+        folds.append(fold)
+    return folds
 
 
 def build_predictor_plan(col: ColumnarTrace,
                          geometry: PredictorGeometry) -> PredictorPlan:
     """Replay the prediction engine once over the trace.
 
-    This is an operation-for-operation replica of
-    ``PredictionEngine.resolve`` restricted to the state that evolves
-    independently of the BTB: perceptron tables, folded global history,
-    indirect table and RAS. Ordering subtleties preserved exactly:
+    A decision-for-decision replica of ``PredictionEngine.resolve``
+    restricted to the state that evolves independently of the BTB:
+    perceptron tables, folded global history, indirect table and RAS.
+    The global history depends on the trace alone (a conditional pushes
+    its outcome, every other branch a 1), so the folds and every table
+    index are computed up front, vectorized; only the perceptron
+    training, the indirect table and the RAS run branch by branch.
+    Ordering subtleties preserved exactly:
 
-    * conditional branches predict/update the perceptron *before* the
-      history (and folds) advance;
+    * conditional branches predict/update the perceptron *before* their
+      history push, so they index with the folds of the earlier pushes;
     * every other branch kind pushes history *first*, so the indirect
       index is computed with the post-push fold;
     * the indirect table is read (plan value), then updated, and only
       then does an indirect call push the RAS.
     """
-    n = col.n
-    pt = np.zeros(n, dtype=np.uint8)
-    ras_ok = np.zeros(n, dtype=np.uint8)
-    ind_pred = np.zeros(n, dtype=np.int64)
-
     mask = geometry.ptable_mask
     theta = geometry.theta
-    ind_mask = geometry.ind_mask
     ras_depth = geometry.ras_depth
     index_width = (mask + 1).bit_length() - 1
-    ind_width = (ind_mask + 1).bit_length() - 1
+    ind_width = (geometry.ind_mask + 1).bit_length() - 1
 
-    # Perceptron tables and folded-history registers (table 0 has zero
-    # history length: unfolded, indexed by the PC hash alone).
-    tables = [[0] * (mask + 1) for _ in HISTORY_LENGTHS]
-    # (table, fold slot, length, out_pos) for tables 1..15.
-    pgeo = []
+    branches = np.nonzero(col.btype)[0]
+    kinds = col.btype[branches]
+    is_cond = kinds == 1
+    conds = np.nonzero(is_cond)[0]  # branch ordinals of the conditionals
+    bits = np.where(is_cond, col.taken[branches], 1)
+    # mix_hash of each branch PC (uint64 arithmetic wraps like & 2**64-1).
+    h = np.uint64(_HASH_K) ^ col.pc[branches].astype(np.uint64)
+    h *= np.uint64(_HASH_MUL)
+    h ^= h >> np.uint64(29)
+
+    # Perceptron indices, one row per conditional (HashedPerceptron._indices).
+    lengths = [length for length in HISTORY_LENGTHS if length]
+    folds = iter(_folds(bits, index_width, lengths))
+    hc = h[conds]
+    columns = []
     for t, length in enumerate(HISTORY_LENGTHS):
-        if length:
-            pgeo.append((t, length, length % index_width))
-    pfold = [0] * len(HISTORY_LENGTHS)  # fold values, slot per table
-    jlen = IndirectPredictor.HISTORY_BITS
-    jpos = jlen % ind_width
-    jfold = 0
-    hbits = 0
-    itab = [0] * (ind_mask + 1)
+        ix = hc if not length else hc ^ next(folds)[conds] ^ np.uint64(t << 3)
+        columns.append(ix & np.uint64(mask))
+    rows = iter(np.stack(columns, axis=1).tolist())
+    # Indirect-table index of every branch, after its own push.
+    (ifold,) = _folds(bits, ind_width, [IndirectPredictor.HISTORY_BITS])
+    ind_ix = ((h ^ ifold[1:]) & np.uint64(geometry.ind_mask)).tolist()
+
+    tables = [[0] * (mask + 1) for _ in HISTORY_LENGTHS]
+    itab = [0] * (geometry.ind_mask + 1)
     ras: List[int] = []
-
-    bts = col.btype.tolist()
-    pcs = col.pc.tolist()
-    tks = col.taken.tolist()
-    tgs = col.target.tolist()
-    branch_idx = np.nonzero(col.btype)[0].tolist()
-    pwm = mask  # fold width mask equals table mask (same width)
-    jwm = ind_mask
-
-    for j in branch_idx:
-        bt = bts[j]
-        pc = pcs[j]
-        h = ((0x9E3779B97F4A7C15 ^ pc) * 0xBF58476D1CE4E5B9) & _M64
-        h ^= h >> 29
+    taken_at = bits.tolist()
+    pcs = col.pc[branches].tolist()
+    targets = col.target[branches].tolist()
+    cond_pt: List[bool] = []
+    ras_ok = np.zeros(col.n, dtype=np.uint8)
+    ind_pred = np.zeros(col.n, dtype=np.int64)
+    for k, bt in enumerate(kinds.tolist()):
         if bt == 1:
-            tk = tks[j]
-            # predict: table 0 unfolded, 1..15 folded.
-            i0 = h & mask
-            total = tables[0][i0]
-            idxs = [i0]
-            for t, _length, _pos in pgeo:
-                ix = (h ^ pfold[t] ^ (t << 3)) & mask
-                idxs.append(ix)
-                total += tables[t][ix]
-            pt[j] = 1 if total >= 0 else 0
-            # update (classic margin rule, clamped 8-bit weights).
+            # predict, then train (classic margin rule, 8-bit weights:
+            # a step past either bound leaves the weight where it is).
+            row = next(rows)
+            total = sum(map(getitem, tables, row))
             predicted = total >= 0
-            took = tk == 1
-            if not (predicted == took and abs(total) > theta):
+            cond_pt.append(predicted)
+            took = taken_at[k] == 1
+            if predicted != took or -theta <= total <= theta:
                 delta = 1 if took else -1
-                t = 0
-                for ix in idxs:
-                    row = tables[t]
-                    w = row[ix] + delta
-                    if w > 127:
-                        w = 127
-                    elif w < -128:
-                        w = -128
-                    row[ix] = w
-                    t += 1
-            # history push AFTER perceptron work for conditionals...
-            bit = tk
-            for t, length, pos in pgeo:
-                v = (pfold[t] << 1) | bit
-                v ^= ((hbits >> (length - 1)) & 1) << pos
-                v ^= v >> index_width
-                pfold[t] = v & pwm
-            v = (jfold << 1) | bit
-            v ^= ((hbits >> (jlen - 1)) & 1) << jpos
-            v ^= v >> ind_width
-            jfold = v & jwm
-            hbits = ((hbits << 1) | bit) & _HMASK
-            continue
-        # ...and BEFORE the type-specific work for every other kind, so
-        # the indirect index sees the post-push fold.
-        for t, length, pos in pgeo:
-            v = (pfold[t] << 1) | 1
-            v ^= ((hbits >> (length - 1)) & 1) << pos
-            v ^= v >> index_width
-            pfold[t] = v & pwm
-        v = (jfold << 1) | 1
-        v ^= ((hbits >> (jlen - 1)) & 1) << jpos
-        v ^= v >> ind_width
-        jfold = v & jwm
-        hbits = ((hbits << 1) | 1) & _HMASK
-        if bt == 2 or bt == 3:
-            if bt == 3:
-                if len(ras) >= ras_depth:
-                    del ras[0]
-                ras.append(pc + ILEN)
-        elif bt == 4:
+                for table, ix in zip(tables, row):
+                    w = table[ix] + delta
+                    if -128 <= w <= 127:
+                        table[ix] = w
+        elif bt == 4:  # RETURN
+            # An empty RAS pops None in the reference engine: never equal.
             if ras:
-                ras_ok[j] = 1 if ras.pop() == tgs[j] else 0
-            # empty RAS pops None in the reference engine: never equal.
+                ras_ok[branches[k]] = ras.pop() == targets[k]
         else:
-            ii = (h ^ jfold) & ind_mask
-            ind_pred[j] = itab[ii]
-            itab[ii] = tgs[j]
-            if bt == 6:
+            if bt >= 5:  # INDIRECT / CALL_INDIRECT
+                ii = ind_ix[k]
+                ind_pred[branches[k]] = itab[ii]
+                itab[ii] = targets[k]
+            if bt == 3 or bt == 6:  # calls push their return address
                 if len(ras) >= ras_depth:
                     del ras[0]
-                ras.append(pc + ILEN)
+                ras.append(pcs[k] + ILEN)
 
+    pt = np.zeros(col.n, dtype=np.uint8)
+    pt[branches[conds]] = cond_pt
     return PredictorPlan(geometry=geometry, pt=pt, ras_ok=ras_ok,
                          ind_pred=ind_pred)
 
 
 # ---------------------------------------------------------------------------
-# Batch plan: what a generated batched kernel binds in its prelude
+# Batch plan: what a generated kernel binds in its prelude
 # ---------------------------------------------------------------------------
 
 
 class BatchPlan:
-    """Bundle handed to a batched kernel: the runtime arrays of a
-    columnar trace + predictor plan, exposed as plain lists (list
-    indexing beats numpy scalar indexing in CPython hot loops). Built
-    once per (workload, geometry) and shared by every config in the
-    batch; persistable as an ``.npz`` payload through the disk cache's
-    ``plans`` tier."""
+    """Bundle handed to a kernel: the runtime arrays of a columnar trace
+    + predictor plan, exposed as plain lists (list indexing beats numpy
+    scalar indexing in CPython hot loops). Built once per (workload,
+    geometry) and shared by every config in the batch; persistable as an
+    ``.npz`` payload through the disk cache's ``plans`` tier.
+
+    ``next_br`` and ``run_end`` are held as offsets from their own index
+    (``j + next_br[j]`` is the next branch, ``i + run_end[i]`` the end of
+    the line run): the offsets are small, and CPython shares one object
+    per small int where absolute indices would each cost one."""
 
     __slots__ = ("geometry", "line_ix", "next_br", "run_end",
                  "pt", "ras_ok", "ind_pred")
 
-    #: Arrays persisted per plan (everything a batched kernel reads).
+    #: Arrays persisted per plan (everything a kernel reads).
     PAYLOAD_KEYS = ("line_ix", "next_br", "run_end", "pt", "ras_ok",
                     "ind_pred")
 
@@ -372,10 +325,11 @@ class BatchPlan:
     @classmethod
     def from_parts(cls, col: ColumnarTrace,
                    plan: PredictorPlan) -> "BatchPlan":
-        cl = col.lists()
-        pl = plan.lists()
-        return cls(plan.geometry, cl["line_ix"], cl["next_br"],
-                   cl["run_end"], pl["pt"], pl["ras_ok"], pl["ind_pred"])
+        idx = np.arange(col.n, dtype=np.int64)
+        return cls(plan.geometry, col.line_ix.tolist(),
+                   (col.next_br - idx).tolist(), (col.run_end - idx).tolist(),
+                   plan.pt.tolist(), plan.ras_ok.tolist(),
+                   plan.ind_pred.tolist())
 
     @classmethod
     def from_payload(cls, geometry: PredictorGeometry,

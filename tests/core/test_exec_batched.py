@@ -1,6 +1,6 @@
-"""Engine integration of batched kernels, worker recycling and jobs=0.
+"""Engine integration of the kernel's plans, worker recycling and jobs=0.
 
-Covers the sweep-engine side of docs/batched_kernels.md: batched
+Covers the sweep-engine side of docs/kernels.md: batched
 ``run_points`` output is bit-identical to the serial interpreter, batch
 plans round-trip through the disk cache's plans tier (with hit/miss
 counters), worker recycling (``recycle=N``) respawns processes without

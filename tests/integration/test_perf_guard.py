@@ -62,8 +62,7 @@ def test_committed_baselines_classified_as_expected():
     for path in sorted((REPO / "benchmarks" / "results").glob("BENCH_*.json")):
         if perf_guard.extract(json.loads(path.read_text())) is not None:
             guardable.add(path.name)
-    assert "BENCH_batch.json" in guardable
-    assert "BENCH_kernel.json" in guardable
+    assert guardable == {"BENCH_dist.json"}
     assert "BENCH_sweep.json" not in guardable
     assert "BENCH_corpus.json" not in guardable
 
@@ -147,5 +146,5 @@ def test_all_mode_fails_when_nothing_guardable(tmp_path, capsys):
 def test_default_baseline_resolves_by_name():
     # The committed baseline vs itself is trivially within tolerance —
     # exactly what CI's single-file invocation relies on.
-    fresh = str(REPO / "benchmarks" / "results" / "BENCH_kernel.json")
+    fresh = str(REPO / "benchmarks" / "results" / "BENCH_dist.json")
     assert perf_guard.main([fresh]) == 0

@@ -1,117 +1,91 @@
-"""Differential golden tests: batched kernels vs the interpreter.
+"""Differential golden tests: the kernel on shared plans vs the interpreter.
 
-The batched engine contract (docs/batched_kernels.md): a batched kernel
-consuming a shared :class:`~repro.trace.columnar.BatchPlan` is an
-*exact* semantic copy of the reference interpreter — same SimResult,
-same Stats counters, same structure samples — for every supported
-configuration, with graceful fallback (batched -> compiled -> interp)
-when the plan is absent or the config is unsupported. Mirrors
-tests/kernel/test_differential.py on the new engine axis.
+Sweeps hand every config of one predictor geometry the same
+:class:`~repro.trace.columnar.BatchPlan` (docs/kernels.md). These tests
+build one plan per geometry of the golden matrix (goldens.py) and assert
+that the kernel consuming it is an *exact* semantic copy of the
+reference interpreter — same SimResult, same Stats counters, same
+structure samples — that a run without a plan builds it inline with the
+same result, that the interpreter still serves unsupported configs, and
+that a plan for the wrong geometry or trace slice is refused.
 """
 
 import pytest
 
-from repro.core.config import (
-    IDEAL_IBTB16,
-    bbtb,
-    build_simulator,
-    hetero_btb,
-    ibtb,
-    ibtb_skp,
-    mbbtb,
-    rbtb,
-)
+from repro.core.config import build_simulator, hetero_btb, ibtb
 from repro.core.passes.kernel import KERNEL_ENV, batch_geometry
-from repro.trace.columnar import build_batch_plan, geometry_for
+from repro.trace.columnar import build_batch_plan
 from repro.trace.trace import Trace
-from repro.trace.workloads import get_trace
 
-L = 8_000
-
-#: Every compiled config family exercised by the fig benchmarks. All
-#: share the default predictor size, hence one batch-plan geometry.
-CONFIGS = [
-    ibtb(16),
-    ibtb(4),
-    ibtb_skp(),
-    rbtb(3),
-    rbtb(3, overflow=4),
-    rbtb(2, interleaved=True),
-    bbtb(1, splitting=True),
-    bbtb(2),
-    mbbtb(2, "allbr"),
-    mbbtb(2, "uncond"),
-    mbbtb(2, "calldir"),
-    IDEAL_IBTB16,
-    ibtb(16, ideal_backend=True),
-    ibtb(16, early_resteer=True),
-]
+from tests.kernel.goldens import (
+    CONFIGS,
+    L,
+    assert_identical,
+    golden_trace,
+    interp_reference,
+    run_engine,
+)
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return get_trace("web_frontend", L)
+    return golden_trace()
 
 
 @pytest.fixture(scope="module")
-def plan(trace):
-    return build_batch_plan(trace, batch_geometry(ibtb(16)))
+def plan_for(trace):
+    """The shared plan of a config's geometry family, built once."""
+    plans = {}
 
+    def get(config):
+        geometry = batch_geometry(config)
+        if geometry not in plans:
+            plans[geometry] = build_batch_plan(trace, geometry)
+        return plans[geometry]
 
-def _run(config, trace, mode, monkeypatch, warmup=0, plan=None):
-    monkeypatch.setenv(KERNEL_ENV, mode)
-    sim = build_simulator(config, trace)
-    engine = sim.kernel_engine()
-    return engine, sim.run(warmup=warmup, batch_plan=plan)
-
-
-def _assert_identical(a, b):
-    assert a.cycles == b.cycles
-    assert a.instructions == b.instructions
-    assert a.stats == b.stats
-    assert a.structure == b.structure
+    return get
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.label)
-def test_batched_matches_interp(config, trace, plan, monkeypatch):
-    engine_i, interp = _run(config, trace, "interp", monkeypatch)
-    engine_b, batched = _run(config, trace, "batched", monkeypatch, plan=plan)
-    assert engine_i == "interp"
-    assert engine_b == "batched"
-    _assert_identical(batched, interp)
+def test_batched_matches_interp(config, trace, plan_for, monkeypatch):
+    engine, batched = run_engine(
+        config, trace, "batched", monkeypatch, plan=plan_for(config)
+    )
+    assert engine == "batched"
+    assert_identical(batched, interp_reference(config))
 
 
 @pytest.mark.parametrize("config", CONFIGS[:4], ids=lambda c: c.label)
-def test_batched_matches_interp_with_warmup(config, trace, plan, monkeypatch):
-    _, interp = _run(config, trace, "interp", monkeypatch, warmup=L // 4)
-    _, batched = _run(
-        config, trace, "batched", monkeypatch, warmup=L // 4, plan=plan
+def test_batched_matches_interp_with_warmup(config, trace, plan_for, monkeypatch):
+    _, batched = run_engine(
+        config, trace, "batched", monkeypatch, warmup=L // 4, plan=plan_for(config)
     )
-    _assert_identical(batched, interp)
+    assert_identical(batched, interp_reference(config, L // 4))
 
 
-def test_batched_without_plan_falls_back_to_compiled(trace, monkeypatch):
-    """``REPRO_KERNEL=batched`` with no plan handed to ``run`` uses the
-    per-config compiled kernel — still bit-identical."""
+def test_batched_without_plan_builds_it_inline(trace, plan_for, monkeypatch):
+    """With no plan handed to ``run``, the kernel builds one for this run
+    alone — bit-identical to the run on the shared plan."""
     config = ibtb(16)
-    _, interp = _run(config, trace, "interp", monkeypatch)
-    engine_b, batched = _run(config, trace, "batched", monkeypatch, plan=None)
-    assert engine_b == "batched"  # eligibility is config-level
-    _assert_identical(batched, interp)
+    _, shared = run_engine(config, trace, "batched", monkeypatch, plan=plan_for(config))
+    engine, inline = run_engine(config, trace, "batched", monkeypatch, plan=None)
+    assert engine == "batched"  # eligibility is config-level
+    assert_identical(inline, shared)
+    assert_identical(inline, interp_reference(config))
 
 
 def test_batched_hetero_falls_back_to_interp(trace, monkeypatch):
     config = hetero_btb(1, 2)
-    engine_b, batched = _run(config, trace, "batched", monkeypatch)
+    engine_b, batched = run_engine(config, trace, "batched", monkeypatch)
     assert engine_b == "interp"
-    _, interp = _run(config, trace, "interp", monkeypatch)
-    _assert_identical(batched, interp)
+    _, interp = run_engine(config, trace, "interp", monkeypatch)
+    assert_identical(batched, interp)
 
 
 def test_geometry_mismatch_raises(trace, monkeypatch):
     """A plan built for a different predictor geometry is rejected by
     the kernel prelude instead of silently corrupting results."""
-    wrong = build_batch_plan(trace.slice(0, 500), geometry_for(2))
+    wrong = build_batch_plan(trace.slice(0, 500), batch_geometry(ibtb(16, bp_size_kb=2)))
     monkeypatch.setenv(KERNEL_ENV, "batched")
     sim = build_simulator(ibtb(16), trace)
     with pytest.raises(RuntimeError, match="geometry"):
@@ -127,7 +101,7 @@ def test_plan_length_mismatch_raises(trace, monkeypatch):
         sim.run(batch_plan=short)
 
 
-# -- degenerate slices: all three engines agree exactly ----------------------
+# -- degenerate slices: both engines agree exactly ----------------------------
 
 
 def _tiny_trace(n):
@@ -139,16 +113,30 @@ def _tiny_trace(n):
     return trace
 
 
-@pytest.mark.parametrize("mode", ["interp", "compiled", "batched"])
+#: (REPRO_KERNEL value, hand the run a shared plan?) per case: the
+#: interpreter, the kernel on a shared plan ("batched") and the kernel
+#: compiling a run with no plan handed in, which builds one inline
+#: ("compiled").
+ENGINE_CASES = [
+    pytest.param("interp", False, id="interp"),
+    pytest.param("batched", True, id="batched"),
+    pytest.param("batched", False, id="compiled"),
+]
+
+
+@pytest.mark.parametrize("mode,shared_plan", ENGINE_CASES)
 @pytest.mark.parametrize("n,warmup", [(0, 0), (1, 1), (5, 5), (5, 7)])
 def test_warmup_not_below_trace_raises_everywhere(
-    mode, n, warmup, monkeypatch
+    mode, shared_plan, n, warmup, monkeypatch
 ):
     """Zero-instruction and warmup-consumes-everything slices raise the
-    same ValueError under every engine (no div-by-zero, no divergence)."""
+    same ValueError under every engine, with a shared plan or an inline
+    one (no div-by-zero, no divergence)."""
     trace = _tiny_trace(n)
     config = ibtb(16)
-    plan = build_batch_plan(trace, batch_geometry(config)) if mode == "batched" else None
+    plan = None
+    if shared_plan:
+        plan = build_batch_plan(trace, batch_geometry(config))
     monkeypatch.setenv(KERNEL_ENV, mode)
     sim = build_simulator(config, trace)
     with pytest.raises(ValueError, match="warmup"):
@@ -158,16 +146,15 @@ def test_warmup_not_below_trace_raises_everywhere(
 @pytest.mark.parametrize("n,warmup", [(1, 0), (8, 7)])
 def test_warmup_only_slices_bit_identical(n, warmup, monkeypatch):
     """A measured region of a single instruction produces identical
-    Stats under interp, compiled and batched (cycle clamp included)."""
+    Stats under the interpreter and the kernel, with a shared plan or an
+    inline one (cycle clamp included)."""
     trace = _tiny_trace(n)
     config = ibtb(16)
     plan = build_batch_plan(trace, batch_geometry(config))
-    results = {}
-    for mode in ("interp", "compiled", "batched"):
-        bp = plan if mode == "batched" else None
-        _, results[mode] = _run(
-            config, trace, mode, monkeypatch, warmup=warmup, plan=bp
+    _, interp = run_engine(config, trace, "interp", monkeypatch, warmup=warmup)
+    for bp in (plan, None):
+        _, batched = run_engine(
+            config, trace, "batched", monkeypatch, warmup=warmup, plan=bp
         )
-    _assert_identical(results["compiled"], results["interp"])
-    _assert_identical(results["batched"], results["interp"])
-    assert results["interp"].cycles >= 1
+        assert_identical(batched, interp)
+    assert interp.cycles >= 1

@@ -1,120 +1,110 @@
-"""Differential golden tests: compiled kernels vs the interpreter.
+"""Differential golden tests: the kernel vs the interpreter.
 
-The pass pipeline's contract (docs/compiled_kernels.md): for every
-supported configuration the compiled kernel is an *exact* semantic copy
-of the reference interpreter — same SimResult, same Stats counters,
-same obs event streams on the instrumented fallback path. These tests
-run the fig-benchmark config families under both ``REPRO_KERNEL``
-values and assert bit-identity, extending the tests/obs/test_golden.py
-pattern to the engine axis.
+The pass pipeline's contract (docs/kernels.md): for every supported
+configuration the compiled kernel is an *exact* semantic copy of the
+reference interpreter — same SimResult, same Stats counters, same obs
+event streams on the instrumented fallback path. These tests run the
+golden matrix (goldens.py) through ``Simulator.run`` with no plan, so
+the kernel builds its plan inline (the path a single run takes), and
+assert bit-identity against the interpreter. test_batched.py covers the
+shared-plan path sweeps take.
 """
 
 import pytest
 
-from repro.core.config import (
-    IDEAL_IBTB16,
-    bbtb,
-    build_simulator,
-    hetero_btb,
-    ibtb,
-    ibtb_skp,
-    mbbtb,
-    rbtb,
-)
+from repro.core.config import build_simulator, hetero_btb, ibtb, mbbtb
 from repro.core.passes.kernel import KERNEL_ENV
 from repro.obs import Observer
 from repro.obs.export import observation_to_json
-from repro.trace.workloads import get_trace
 
-L = 8_000
-
-#: Every compiled config family exercised by the fig benchmarks.
-CONFIGS = [
-    ibtb(16),
-    ibtb(4),
-    ibtb_skp(),
-    rbtb(3),
-    rbtb(3, overflow=4),
-    rbtb(2, interleaved=True),
-    bbtb(1, splitting=True),
-    bbtb(2),
-    mbbtb(2, "allbr"),
-    mbbtb(2, "uncond"),
-    mbbtb(2, "calldir"),
-    IDEAL_IBTB16,
-    ibtb(16, ideal_backend=True),
-    ibtb(16, early_resteer=True),
-]
+from tests.kernel.goldens import (
+    CONFIGS,
+    L,
+    assert_identical,
+    golden_trace,
+    interp_reference,
+    run_engine,
+)
 
 
 @pytest.fixture(scope="module")
 def trace():
-    return get_trace("web_frontend", L)
-
-
-def _run(config, trace, mode, monkeypatch, warmup=0, probe=None):
-    """Build, snapshot the engine choice (pre-run: a finished run has
-    populated stats, which disqualifies the kernel), then run."""
-    monkeypatch.setenv(KERNEL_ENV, mode)
-    sim = build_simulator(config, trace, probe=probe)
-    engine = sim.kernel_engine()
-    return engine, sim.run(warmup=warmup)
+    return golden_trace()
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.label)
 def test_compiled_matches_interp(config, trace, monkeypatch):
-    engine_i, interp = _run(config, trace, "interp", monkeypatch)
-    engine_c, compiled = _run(config, trace, "compiled", monkeypatch)
-    assert engine_i == "interp"
-    assert engine_c == "compiled"
-    assert compiled.cycles == interp.cycles
-    assert compiled.instructions == interp.instructions
-    assert compiled.stats == interp.stats
-    assert compiled.structure == interp.structure
+    engine, kernel = run_engine(config, trace, "batched", monkeypatch)
+    assert engine == "batched"
+    assert_identical(kernel, interp_reference(config))
 
 
 @pytest.mark.parametrize("config", CONFIGS[:4], ids=lambda c: c.label)
 def test_compiled_matches_interp_with_warmup(config, trace, monkeypatch):
-    _, interp = _run(config, trace, "interp", monkeypatch, warmup=L // 4)
-    _, compiled = _run(config, trace, "compiled", monkeypatch, warmup=L // 4)
-    assert compiled.stats == interp.stats
-    assert compiled.cycles == interp.cycles
+    _, kernel = run_engine(config, trace, "batched", monkeypatch, warmup=L // 4)
+    assert_identical(kernel, interp_reference(config, L // 4))
 
 
 def test_hetero_falls_back_to_interp(trace, monkeypatch):
-    """Unsupported kinds run the reference engine even when compiled is
-    requested — and still match an explicit interp run exactly."""
+    """Unsupported kinds run the reference engine even when the kernel
+    is requested — and still match an explicit interp run exactly."""
     config = hetero_btb(1, 2)
-    engine_c, compiled = _run(config, trace, "compiled", monkeypatch)
-    assert engine_c == "interp"
-    _, interp = _run(config, trace, "interp", monkeypatch)
-    assert compiled.stats == interp.stats
-    assert compiled.cycles == interp.cycles
+    engine, kernel = run_engine(config, trace, "batched", monkeypatch)
+    assert engine == "interp"
+    _, interp = run_engine(config, trace, "interp", monkeypatch)
+    assert_identical(kernel, interp)
 
 
 def test_obs_streams_identical_across_engines(trace, monkeypatch):
     """Instrumented runs force the interp fallback under both modes, so
     the obs event stream is engine-independent — and the probed result
-    still equals the compiled uninstrumented run."""
+    still equals the uninstrumented kernel run."""
     config = mbbtb(2, "allbr")
     payloads = {}
-    for mode in ("interp", "compiled"):
+    for mode in ("interp", "batched"):
         obs = Observer(events=True, interval=500)
-        engine, result = _run(config, trace, mode, monkeypatch, probe=obs)
+        engine, result = run_engine(config, trace, mode, monkeypatch, probe=obs)
         assert engine == "interp"  # probe disables the kernel
         payloads[mode] = (result, observation_to_json(obs.observation()))
     result_i, obs_i = payloads["interp"]
-    result_c, obs_c = payloads["compiled"]
-    assert result_c.stats == result_i.stats
-    assert obs_c == obs_i
-    _, plain = _run(config, trace, "compiled", monkeypatch)
+    result_k, obs_k = payloads["batched"]
+    assert result_k.stats == result_i.stats
+    assert obs_k == obs_i
+    _, plain = run_engine(config, trace, "batched", monkeypatch)
     assert plain.stats == result_i.stats
 
 
 def test_warmup_validation_matches_interp(trace, monkeypatch):
     config = ibtb(16)
-    for mode in ("interp", "compiled"):
+    for mode in ("interp", "batched"):
         monkeypatch.setenv(KERNEL_ENV, mode)
         sim = build_simulator(config, trace)
         with pytest.raises(ValueError, match="warmup"):
             sim.run(warmup=len(trace))
+
+
+# -- re-running one Simulator ------------------------------------------------
+
+
+def test_second_run_after_kernel_run_raises(monkeypatch):
+    """The kernel leaves the predictor objects cold, so a second run on
+    the same simulator (which the warm stats bag would send to the
+    interpreter) must refuse instead of mixing cold predictors with a
+    warm BTB."""
+    monkeypatch.setenv(KERNEL_ENV, "batched")
+    sim = build_simulator(ibtb(16), golden_trace().slice(0, 2_000))
+    sim.run()
+    with pytest.raises(RuntimeError, match="build a new one"):
+        sim.run()
+
+
+def test_interp_reruns_keep_working(monkeypatch):
+    """Interpreter re-runs continue from the warm state, as before."""
+    monkeypatch.setenv(KERNEL_ENV, "interp")
+    sim = build_simulator(ibtb(16), golden_trace().slice(0, 2_000))
+    first = sim.run()
+    second = sim.run()
+    assert second.instructions == first.instructions
+    # One counter bag across both runs; each result measures its own.
+    accesses = first.stats["btb_accesses"] + second.stats["btb_accesses"]
+    assert sim.stats.as_dict()["btb_accesses"] == accesses

@@ -15,6 +15,7 @@ from repro.core.passes import (
 from repro.core.passes.components import elided_components, live_components
 from repro.core.passes.kernel import (
     KERNEL_ENV,
+    KERNEL_MODES,
     KernelConfigError,
     kernel_cache_clear,
     kernel_cache_info,
@@ -25,18 +26,21 @@ from repro.core.passes.kernel import (
 # -- mode selection ----------------------------------------------------------
 
 
-def test_kernel_mode_defaults_to_compiled(monkeypatch):
+def test_kernel_mode_defaults_to_batched(monkeypatch):
     monkeypatch.delenv(KERNEL_ENV, raising=False)
-    assert kernel_mode() == "compiled"
+    assert kernel_mode() == "batched"
+    assert KERNEL_MODES == ("batched", "interp")
 
 
-@pytest.mark.parametrize("value", ["interp", "compiled"])
+@pytest.mark.parametrize("value", ["interp", "batched"])
 def test_kernel_mode_accepts_documented_values(monkeypatch, value):
     monkeypatch.setenv(KERNEL_ENV, value)
     assert kernel_mode() == value
 
 
-@pytest.mark.parametrize("value", ["bogus", "jit", "compiled,interp"])
+# "compiled" named the retired per-config engine: asking for it is a
+# one-line configuration error, not a silent switch of engines.
+@pytest.mark.parametrize("value", ["bogus", "jit", "compiled,interp", "compiled"])
 def test_kernel_mode_rejects_malformed_values(monkeypatch, value):
     monkeypatch.setenv(KERNEL_ENV, value)
     with pytest.raises(KernelConfigError, match="REPRO_KERNEL"):

@@ -1,6 +1,6 @@
 """Property tests for the columnar trace lowering and predictor plans.
 
-The contract (docs/batched_kernels.md): :func:`lower_trace`'s derived
+The contract (docs/kernels.md): :func:`lower_trace`'s derived
 arrays round-trip *exactly* against reference iteration over the
 :class:`Trace` — ``line_ix`` vs ``Trace.line_index``, ``next_pc`` vs
 ``Trace.next_pc``, ``next_br``/``run_end`` vs naive per-instruction
@@ -13,16 +13,20 @@ the live :class:`PredictionEngine` decision-for-decision.
 import gzip
 import lzma
 
+import numpy as np
 import pytest
 
+from repro.branch.history import GlobalHistory
 from repro.common.types import ILEN, BranchType
+from repro.core.config import MachineConfig
+from repro.core.passes.kernel import batch_geometry
 from repro.corpus import configure_corpus, load_corpus_trace
 from repro.frontend.engine import PredictionEngine
 from repro.trace.columnar import (
     BatchPlan,
+    _folds,
     build_batch_plan,
     build_predictor_plan,
-    geometry_for,
     lower_trace,
 )
 from repro.trace.external import save_trace_csv
@@ -219,10 +223,26 @@ def _reference_plan_values(trace, bp_size_kb):
     return pt, ras_ok, ind_pred
 
 
+@pytest.mark.parametrize("length,width", [(3, 12), (12, 12), (18, 12), (232, 12), (232, 7)])
+def test_folds_match_the_live_folded_register(length, width):
+    """The closed-form folds equal the incrementally updated register
+    after every push, including before the history fills up."""
+    bits = np.random.default_rng(length + width).integers(0, 2, 600)
+    history = GlobalHistory()
+    fold = history.register_fold(length, width)
+    values = [fold.value]
+    for bit in bits.tolist():
+        history.push(bit == 1)
+        values.append(fold.value)
+    (got,) = _folds(bits, width, [length])
+    assert got.tolist() == values
+
+
 @pytest.mark.parametrize("name,size", [("web_frontend", 64), ("db_oltp", 2)])
 def test_predictor_plan_matches_live_engine(name, size):
     trace = get_trace(name, 8_000)
-    plan = build_predictor_plan(lower_trace(trace), geometry_for(size))
+    geometry = batch_geometry(MachineConfig(bp_size_kb=size))
+    plan = build_predictor_plan(lower_trace(trace), geometry)
     pt, ras_ok, ind_pred = _reference_plan_values(trace, size)
     assert plan.pt.tolist() == pt
     assert plan.ras_ok.tolist() == ras_ok
@@ -231,9 +251,20 @@ def test_predictor_plan_matches_live_engine(name, size):
 
 def test_batch_plan_payload_roundtrip():
     trace = get_trace("web_frontend", 4_000)
-    geom = geometry_for(64)
+    geom = batch_geometry(MachineConfig(bp_size_kb=64))
     plan = build_batch_plan(trace, geom)
     clone = BatchPlan.from_payload(geom, plan.payload())
     for key in BatchPlan.PAYLOAD_KEYS:
         assert getattr(clone, key) == getattr(plan, key)
     assert clone.geometry == geom
+
+
+def test_batch_plan_holds_offsets():
+    """The plan keeps ``next_br``/``run_end`` as offsets from their own
+    index; adding the index back gives the columnar derivations."""
+    trace = get_trace("db_oltp", 4_000)
+    col = lower_trace(trace)
+    plan = build_batch_plan(trace, batch_geometry(MachineConfig()))
+    assert [i + off for i, off in enumerate(plan.next_br)] == col.next_br.tolist()
+    assert [i + off for i, off in enumerate(plan.run_end)] == col.run_end.tolist()
+    assert min(plan.run_end, default=1) >= 1  # a run always covers its index
