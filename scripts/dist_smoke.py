@@ -7,7 +7,8 @@ Hosts a coordinator in-process, spawns ``--workers`` real
 exact CLI code path. Chaos is injected on the **workers only** via
 ``--fault-spec`` (e.g. ``kill:...`` SIGKILLs a session process
 mid-point, ``disconnect:...`` abruptly drops its coordinator
-connection); the caller then ``cmp``\\ s ``--out`` against a clean
+connection, ``hang:...`` stalls a point until ``--timeout`` blames it);
+the caller then ``cmp``\\ s ``--out`` against a clean
 serial ``repro-sim sweep --out`` — the acceptance bar is byte-identical
 output no matter what the fleet suffered.
 
@@ -15,8 +16,8 @@ Asserts, beyond the sweep exiting 0:
 
 * every spawned worker registered (``workers_total``);
 * with a fault spec, the chaos actually fired: at least one worker was
-  lost to a SIGKILL/EOF **or** at least one session reconnected after
-  an injected disconnect;
+  lost to a SIGKILL/EOF/silent lease **or** at least one session
+  reconnected after an injected disconnect;
 * the fleet counters are internally consistent (all points accounted).
 
 Stdlib only; exits non-zero with a diagnostic on any violated invariant.
@@ -59,6 +60,11 @@ def main() -> int:
         help="REPRO_FAULT_SPEC exported to the workers only",
     )
     ap.add_argument("--length", type=int, default=20_000)
+    ap.add_argument(
+        "--timeout", default=None, metavar="SECONDS",
+        help="sweep --timeout: a lease silent past its allowance is "
+        "blamed as a timeout (default: none)",
+    )
     args = ap.parse_args()
 
     scratch = Path(args.cache_dir)
@@ -100,6 +106,7 @@ def main() -> int:
             )
         print(f"dist-smoke: {sessions} worker session(s) up", flush=True)
 
+        timeout = ["--timeout", args.timeout] if args.timeout else []
         rc = cli.main(
             [
                 "sweep", *CONFIGS,
@@ -107,6 +114,7 @@ def main() -> int:
                 "--length", str(args.length),
                 "--dist", address,
                 "--max-retries", "3",
+                *timeout,
                 "--cache-dir", str(scratch / "coord-cache"),
                 "--out", args.out,
             ]

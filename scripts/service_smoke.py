@@ -22,7 +22,8 @@ between write-ahead journal appends mid-job, a second daemon is started
 on the same ``--state-dir``, and the script asserts the job is reported
 ``recovered: true`` and converges to the same ``--out`` document a
 clean run would produce (the CI job ``cmp``\\ s it against a one-shot
-CLI sweep).
+CLI sweep). It also asserts that none of the killed daemon's session
+processes outlives it.
 
 Stdlib only; exits non-zero with a diagnostic on any violated invariant.
 """
@@ -101,6 +102,43 @@ def _boot_daemon(args, env, state_dir=None):
     return daemon, port
 
 
+def _survivors(argv):
+    """Pids still running *argv*: a forked session keeps its daemon's
+    command line, so these are sessions of a daemon that is gone."""
+    want = "\0".join(argv) + "\0"
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        proc = Path("/proc") / entry
+        try:
+            cmdline = (proc / "cmdline").read_bytes().decode(errors="replace")
+            state = (proc / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        except (OSError, IndexError):
+            continue
+        if cmdline == want and state not in ("Z", "X"):
+            pids.append(int(entry))
+    return pids
+
+
+def _assert_no_survivors(daemon, grace=10.0) -> None:
+    if not os.path.isdir("/proc"):
+        print("no /proc: skipping the orphaned-session check")
+        return
+    deadline = time.monotonic() + grace
+    while True:
+        pids = _survivors(daemon.args)
+        if not pids:
+            print("no session outlived the killed daemon")
+            return
+        if time.monotonic() > deadline:
+            raise SystemExit(
+                f"FAIL: sessions {pids} outlived the killed daemon by "
+                f"{grace:.0f}s"
+            )
+        time.sleep(0.1)
+
+
 def _chaos_daemon(args, env) -> int:
     """The durability drill: SIGKILL the daemon mid-journal, recover."""
     state_dir = Path(args.cache_dir) / "service-state"
@@ -135,6 +173,7 @@ def _chaos_daemon(args, env) -> int:
             raise SystemExit("FAIL: daemon died without claiming the "
                              "kill sentinel")
         print(f"daemon SIGKILLed itself after {args.kill_after} appends")
+        _assert_no_survivors(daemon)
     finally:
         if daemon.poll() is None:
             daemon.kill()

@@ -269,7 +269,6 @@ _RESILIENCE_COLUMNS = (
     "timeouts",
     "worker_crashes",
     "resumed",
-    "deferred",
 )
 
 
@@ -806,8 +805,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--recycle", type=int, default=0, metavar="N",
-        help="retire each worker process after N dispatched points and "
-        "respawn on demand (default 0: never)",
+        help="retire each worker process after N leased points and "
+        "respawn it (default 0: never; also applies under --dist)",
     )
     p.add_argument(
         "--no-disk-cache", action="store_true",
@@ -825,8 +824,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="soft per-point wall-clock budget; a hung worker is killed "
-        "and its point retried (default: no deadline)",
+        help="per-point wall-clock budget; a worker whose batch reports "
+        "nothing for longer is dropped (killed when local) and its point "
+        "retried as a timeout (default: no deadline; also under --dist)",
     )
     p.add_argument(
         "--resume", action="store_true",
@@ -846,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chrome", default=None, metavar="PATH",
-        help="write the sweep scheduler timeline (chunks, retries, "
+        help="write the sweep scheduler timeline (leases, retries, "
         "crashes) as Chrome trace_event JSON",
     )
     p.add_argument(
@@ -899,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve", help="async simulation daemon (coalescing + admission "
-        "control over the warm worker pool; docs/service.md)"
+        "control over the sweep engine; docs/service.md)"
     )
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument(
@@ -929,7 +929,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-point retry budget (default 2)")
     p.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",
-        help="soft per-point wall-clock budget (default: no deadline)",
+        help="per-point wall-clock budget (default: no deadline)",
     )
     p.add_argument(
         "--batch", type=int, default=None, metavar="N",
@@ -983,8 +983,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--dist-listen", default=None, metavar="HOST:PORT",
         help="host a dist coordinator at this address and drain sweep "
-        "jobs onto connected 'repro-sim worker' fleets instead of the "
-        "local pool; fleet counters appear under /v1/metrics "
+        "jobs onto connected 'repro-sim worker' fleets instead of "
+        "local sessions; fleet counters appear under /v1/metrics "
         "(docs/distributed.md)",
     )
     p.set_defaults(func=_cmd_serve)

@@ -11,9 +11,9 @@ Five layers (see ``docs/performance.md`` and ``docs/robustness.md``):
 * :mod:`repro.core.exec.faults` — deterministic fault injection
   (``REPRO_FAULT_SPEC``) for tests and the CI chaos-smoke job;
 * :mod:`repro.core.exec.engine` — cached single-point execution and the
-  deterministic, fault-tolerant process fan-out used by
+  deterministic, fault-tolerant ``run_points`` used by
   :func:`repro.core.runner.run_suite` / ``compare_to_baseline`` /
-  ``sweep_compare``.
+  ``sweep_compare`` (parallel sweeps run on :mod:`repro.dist`).
 """
 
 from repro.core.exec.cachekey import (

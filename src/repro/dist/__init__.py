@@ -1,11 +1,13 @@
-"""Distributed sweep execution: coordinator, workers, shard transfer.
+"""Sweep scheduling: coordinator, sessions, shard transfer.
 
-The fabric mirrors the local parallel engine's resilience semantics over
-TCP: the coordinator owns the point queue and the ``_SweepState`` journal
-/ retry machinery, workers lease batches of points, stream outcomes back,
-and a dead or partitioned worker's lease is reassigned exactly like a
-crashed local worker process (first unreported point blamed, chunk-mates
-re-dispatched blame-free).  See ``docs/distributed.md``.
+Every parallel sweep runs here, local (``run_points(jobs=N)`` forks N
+sessions against a private loopback coordinator) or distributed
+(``repro-sim worker`` fleets over TCP). The coordinator owns the point
+queue and the engine's ``_SweepState`` journal / retry machinery;
+sessions lease batches of points and stream outcomes back; a dead,
+partitioned or hung session's lease is reassigned with its executing
+point blamed and its lease-mates re-dispatched blame-free.  See
+``docs/distributed.md``.
 """
 
 from .protocol import (  # noqa: F401

@@ -1,23 +1,31 @@
 """Work-stealing sweep coordinator (asyncio TCP, thread-hosted).
 
-The coordinator owns the point queue of the active sweep and drives the
-exact resilience machinery the local engine uses — the same
+This is the only parallel scheduler. ``run_points(jobs=N)`` starts a
+private coordinator on a loopback port and forks N local sessions
+through :class:`~repro.dist.worker.Supervisor` (:func:`run_local`);
+``dispatch="dist://..."`` drains onto ``repro-sim worker`` fleets
+instead (:func:`run_dist`). Either way the coordinator owns the point
+queue and drives the engine's resilience machinery — the same
 :class:`~repro.core.exec.engine._SweepState` records retries, taxonomy
-counters, journal checkpoints and report events, so a dead or
-partitioned *remote* worker is handled identically to a crashed local
-worker process: the first unreported point of its lease is blamed
-(``worker-crash``, consuming one attempt) and its lease-mates are
-re-dispatched blame-free.
+counters, journal checkpoints and report events as a serial run. A
+session that dies or disconnects has the first unreported point of its
+lease blamed (``worker-crash``, consuming one attempt) and its
+lease-mates re-dispatched blame-free; a lease that reports nothing for
+``RetryPolicy.allowance()`` seconds has its head blamed as ``timeout``
+the same way, and its session is dropped (and SIGKILLed when it is one
+of ours).
 
-Dispatch is pull-based work stealing: idle workers request leases; when
-the queue is empty but another worker still holds unstarted points, the
-coordinator revokes the tail half of the victim's lease and hands it to
-the thief. Workers stream one outcome frame per point, so progress is
-never lost in batch granularity.
+Dispatch is pull-based work stealing: idle sessions request leases;
+when the queue is empty but another session still holds unstarted
+points, the coordinator revokes the tail half of the victim's lease and
+hands it to the thief. Sessions stream one outcome frame per point, so
+progress is never lost in batch granularity. Leases are recorded as
+``chunk_start``/``chunk_end`` report events with the session's slot, so
+``sweep --chrome`` draws one track per session.
 
 The asyncio event loop runs in a dedicated daemon thread; ``execute``
 blocks the calling thread (the engine or the service executor) until
-the sweep completes, exactly like the local backends.
+the sweep completes.
 """
 from __future__ import annotations
 
@@ -27,10 +35,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 from math import ceil
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.exec.engine import SweepPoint, get_disk_cache, point_key
-from ..core.exec.engine import _SweepState  # noqa: F401  (typing/reuse)
 from .protocol import (
     DIST_SCHEMA,
     ConnectionClosed,
@@ -82,53 +89,115 @@ WORKER_COUNTER_NAMES = (
     "reconnects",
 )
 
+Group = Tuple[str, int, int]
+Pair = Tuple[int, SweepPoint]
+
+
+def _group(point: SweepPoint) -> Group:
+    """The shared-trace group of *point*: points of one group reuse one
+    trace (and, per predictor geometry, one batch plan)."""
+    return (point.workload, point.length, point.seed)
+
+
+def pick_lease(
+    eligible: Sequence[Pair],
+    sessions: int,
+    held: Iterable[Group] = (),
+    touched: Iterable[Group] = (),
+    batch: Optional[int] = None,
+) -> List[Pair]:
+    """Select one lease from the *eligible* ``(index, point)`` pairs.
+
+    A lease never mixes trace groups, and within its group points are
+    ordered so configs sharing a batch-plan geometry land adjacent.
+    Group affinity keeps each trace materialized on as few sessions as
+    possible: a group this session already *held*, then one no session
+    has *touched*, then the first. The lease is at most *batch* points,
+    or ``ceil(len(eligible) / (sessions * 4))`` so leases shrink as the
+    queue drains and the *sessions* stay load-balanced.
+    """
+    if not eligible:
+        return []
+    ordered = sorted(
+        eligible,
+        key=lambda pair: (*_group(pair[1]), pair[1].config.bp_size_kb, pair[0]),
+    )
+    groups = list(dict.fromkeys(_group(point) for _, point in ordered))
+    held, touched = set(held), set(touched)
+    group = next(
+        (g for g in groups if g in held),
+        next((g for g in groups if g not in touched), groups[0]),
+    )
+    if batch is not None:
+        bound = max(1, int(batch))
+    else:
+        bound = max(1, ceil(len(eligible) / (max(1, sessions) * 4)))
+    return [pair for pair in ordered if _group(pair[1]) == group][:bound]
+
 
 @dataclass
 class _QueuedPoint:
     index: int
     point: SweepPoint
-    not_before: float = 0.0  # state.now() instant, like _PendingChunk
-
-
-def _group(point: SweepPoint) -> Tuple[str, int, int]:
-    return (point.workload, point.length, point.seed)
+    not_before: float = 0.0  # state.now() instant of a backoff delay
 
 
 @dataclass
 class _Lease:
     lease_id: int
     run: "_Run"
-    pairs: List[Tuple[int, SweepPoint]]
+    pairs: List[Pair]
+    #: ``time.monotonic()`` of the grant or the lease's latest outcome
+    #: (the lease watchdog's clock; heartbeats do not count).
+    progress: float
     reported: Set[int] = field(default_factory=set)
+
+    def unreported(self) -> List[Pair]:
+        """The lease's points with no outcome yet, in execution order."""
+        done = self.run.state.outcomes
+        return [
+            (index, point)
+            for index, point in self.pairs
+            if index not in self.reported and index not in done
+        ]
 
 
 @dataclass
 class _Remote:
     worker_id: str
+    slot: int
     writer: object
     wlock: asyncio.Lock
     last_msg: float
     caps: Dict = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
-    groups: Set[Tuple[str, int, int]] = field(default_factory=set)
+    #: The session's latest disk-cache counter snapshot (folded into
+    #: this process's cache as deltas).
+    cache: Dict[str, int] = field(default_factory=dict)
+    groups: Set[Group] = field(default_factory=set)
     leases: Dict[int, _Lease] = field(default_factory=dict)
+    #: Points leased to this session over its lifetime (``recycle``).
+    dispatched: int = 0
     closed: bool = False
 
 
 class _Run:
     """One sweep being drained onto the fleet."""
 
-    def __init__(self, state, batch: Optional[int]) -> None:
+    def __init__(self, state, batch: Optional[int], recycle: int, fleet) -> None:
         self.state = state
         self.batch = batch
+        self.recycle = recycle
+        #: The :class:`~repro.dist.worker.Supervisor` of this run's local
+        #: sessions, which share this process's disk cache (``None`` for
+        #: a remote fleet; a private coordinator serves no other).
+        self.fleet = fleet
         self.pending: List[_QueuedPoint] = [
             _QueuedPoint(index, point) for index, point in state.pairs
         ]
         self.done = threading.Event()
-        self.aborted = False
-
-    def complete(self) -> bool:
-        return len(self.state.outcomes) >= len(self.state.points)
+        #: The loop timer that fires at the sweep deadline, if any.
+        self.timer: Optional[asyncio.TimerHandle] = None
 
 
 class Coordinator:
@@ -216,31 +285,43 @@ class Coordinator:
         snap["workers_live"] = len(self._workers)
         return snap
 
-    def execute(self, state, batch: Optional[int] = None):
+    def execute(self, state, batch: Optional[int] = None, recycle: int = 0,
+                fleet=None):
         """Drain *state*'s pending points onto the fleet; blocks until done.
 
-        Returns the assembled :class:`SweepReport` via ``state.finish()``.
-        KeyboardInterrupt aborts the run (report marked interrupted),
-        matching the local backends' contract.
+        *recycle* > 0 retires a session once it has been leased that many
+        points. *fleet* is the supervisor of this run's local sessions;
+        it is polled from this thread (respawning crashed and retired
+        sessions) while the run drains; once every session has exited
+        for good, the points still open fail. Returns the assembled
+        :class:`SweepReport` via ``state.finish()``. KeyboardInterrupt
+        aborts the run (report marked interrupted).
         """
         self.start()
         with self._run_lock:
-            run = _Run(state, batch)
+            run = _Run(state, batch, recycle, fleet)
             asyncio.run_coroutine_threadsafe(
                 self._begin(run), self._loop
             ).result(timeout=30)
             try:
-                while not run.done.wait(0.2):
-                    pass
+                while not run.done.wait(0.05 if fleet is not None else 0.2):
+                    if fleet is not None and not fleet.poll():
+                        # No session can reach this coordinator any more.
+                        self._abort_from_caller(run)
+                        return state.finish("every local session exited")
             except KeyboardInterrupt:
-                try:
-                    asyncio.run_coroutine_threadsafe(
-                        self._abort(run), self._loop
-                    ).result(timeout=10)
-                except Exception:
-                    pass
+                self._abort_from_caller(run)
                 state.report.interrupted = True
             return state.finish()
+
+    def _abort_from_caller(self, run: _Run) -> None:
+        """Detach *run* from the loop; outcomes arriving later are ignored."""
+        try:
+            asyncio.run_coroutine_threadsafe(
+                self._abort(run), self._loop
+            ).result(timeout=10)
+        except Exception:
+            pass
 
     # -- event loop ----------------------------------------------------------
 
@@ -270,26 +351,34 @@ class Coordinator:
         finally:
             monitor.cancel()
             server.close()
-            await server.wait_closed()
             for remote in list(self._workers.values()):
                 self._close_remote(remote)
+            await server.wait_closed()
 
     async def _monitor(self) -> None:
-        """Declare silent workers lost; enforce the sweep deadline."""
+        """Declare silent workers lost, time out silent leases, enforce
+        the sweep deadline."""
         tick = max(0.25, min(1.0, self.hb_timeout / 4))
         while True:
             await asyncio.sleep(tick)
             now = time.monotonic()
+            run = self._run
+            allowance = run.state.policy.allowance() if run is not None else None
             for remote in list(self._workers.values()):
                 if now - remote.last_msg > self.hb_timeout:
                     await self._lose_worker(
                         remote,
                         f"no frame for {self.hb_timeout:.0f}s (heartbeat timeout)",
                     )
-            run = self._run
+                elif allowance is not None and any(
+                    lease.run is run and now - lease.progress > allowance
+                    for lease in remote.leases.values()
+                ):
+                    await self._lose_worker(
+                        remote, f"lease silent for {allowance:.0f}s", kind="timeout"
+                    )
             if run is not None:
-                self._enforce_deadline(run)
-                self._maybe_finish(run)
+                self._settle(run)
 
     # -- run lifecycle (loop thread) -----------------------------------------
 
@@ -302,29 +391,54 @@ class Coordinator:
             queued=len(run.pending),
             workers=len(self._workers),
         )
+        if run.state.deadline is not None:
+            # Fire at the deadline itself, not on the next monitor tick.
+            run.timer = self._loop.call_later(
+                max(0.0, run.state.deadline - time.monotonic()),
+                self._settle, run,
+            )
+        self._settle(run)
+
+    def _settle(self, run: _Run) -> None:
+        """Apply the sweep deadline, then close the run if it is done."""
+        self._enforce_deadline(run)
         self._maybe_finish(run)
 
     async def _abort(self, run: _Run) -> None:
-        run.aborted = True
         run.pending.clear()
+        self._end_run(run)
+
+    def _end_run(self, run: _Run) -> None:
+        if run.timer is not None:
+            run.timer.cancel()
         if self._run is run:
             self._run = None
         run.done.set()
 
     def _maybe_finish(self, run: _Run) -> None:
-        if run.done.is_set():
+        """Close the run once every point has an outcome; leases still
+        open (their ``lease_done`` not in yet) end here."""
+        if run.done.is_set() or len(run.state.outcomes) < len(run.state.points):
             return
-        if run.complete():
-            run.state.report.record(run.state.now(), "dist_end")
-            if self._run is run:
-                self._run = None
-            run.done.set()
+        for remote in self._workers.values():
+            for lease in list(remote.leases.values()):
+                if lease.run is run:
+                    self._end_lease(remote, lease)
+        run.state.report.record(run.state.now(), "dist_end")
+        self._end_run(run)
+
+    def _end_lease(self, remote: _Remote, lease: _Lease) -> None:
+        remote.leases.pop(lease.lease_id, None)
+        lease.run.state.report.record(
+            lease.run.state.now(), "chunk_end", slot=remote.slot,
+            chunk=lease.lease_id,
+        )
 
     def _enforce_deadline(self, run: _Run) -> None:
         """Past the sweep deadline, fail everything still open fast —
-        queued points and unreported leased points alike — mirroring the
-        local pool's kill-and-classify behaviour (we cannot kill a remote
-        worker, so its late outcomes are simply ignored)."""
+        queued points and unreported leased points alike. A session
+        still running one is stopped with the rest of the fleet (local)
+        or has its late outcomes ignored (remote)."""
         if run.done.is_set() or not run.state.deadline_expired():
             return
         for qp in run.pending:
@@ -332,10 +446,8 @@ class Coordinator:
         run.pending.clear()
         for remote in list(self._workers.values()):
             for lease in list(remote.leases.values()):
-                if lease.run is not run:
-                    continue
-                for index, point in lease.pairs:
-                    if index not in lease.reported:
+                if lease.run is run:
+                    for index, point in lease.unreported():
                         run.state.point_deadline(index, point)
 
     def _requeue(self, run: _Run, pairs, delay: float = 0.0) -> None:
@@ -366,28 +478,33 @@ class Coordinator:
                 return
             self._next_client += 1
             worker_id = f"{msg.get('worker') or 'worker'}#{self._next_client}"
+            slots = {other.slot for other in self._workers.values()}
             remote = _Remote(
                 worker_id=worker_id,
+                slot=min(set(range(len(slots) + 1)) - slots),
                 writer=writer,
                 wlock=asyncio.Lock(),
                 last_msg=time.monotonic(),
                 caps=dict(msg.get("caps") or {}),
+                # Counted on an earlier connection: later frames fold
+                # only their growth past this.
+                cache=dict(msg.get("cache") or {}),
             )
             self._workers[worker_id] = remote
             self._counters["workers_total"] += 1
             run = self._run
             if run is not None:
                 run.state.report.record(
-                    run.state.now(), "worker_join", worker=worker_id
+                    run.state.now(), "worker_join", worker=worker_id,
+                    slot=remote.slot,
                 )
             await self._send(remote, {"t": "welcome", "schema": DIST_SCHEMA})
-            while True:
+            while not remote.closed:
                 msg, _blob = await read_frame(reader)
                 remote.last_msg = time.monotonic()
+                self._absorb(remote, msg)
                 t = msg.get("t")
                 if t == "lease":
-                    if msg.get("counters"):
-                        remote.counters = dict(msg["counters"])
                     await self._grant(remote, msg)
                 elif t == "ok":
                     self._handle_ok(remote, msg)
@@ -395,8 +512,6 @@ class Coordinator:
                     self._handle_err(remote, msg)
                 elif t == "lease_done":
                     self._handle_lease_done(remote, msg)
-                elif t == "hb":
-                    remote.counters = dict(msg.get("counters") or {})
                 elif t == "fetch_manifest":
                     await self._serve_manifest(remote, msg)
                 elif t == "fetch_shard":
@@ -407,7 +522,7 @@ class Coordinator:
                     await self._lose_worker(remote, "clean shutdown", clean=True)
                     remote = None
                     return
-                else:
+                elif t != "hb":  # a heartbeat only carries counters
                     raise ProtocolError(f"unknown message type {t!r}")
         except (ConnectionClosed, ProtocolError, ConnectionError, OSError) as exc:
             if remote is not None:
@@ -431,6 +546,22 @@ class Coordinator:
                 except Exception:
                     pass
 
+    def _absorb(self, remote: _Remote, msg: Dict) -> None:
+        """Take the counters a frame carries: the session's own, and its
+        disk cache's, whose growth is folded into this process's cache
+        so hit/miss totals read as if every point ran here."""
+        if msg.get("counters"):
+            remote.counters = dict(msg["counters"])
+        cache = msg.get("cache")
+        if not cache:
+            return
+        disk = get_disk_cache()
+        if disk is not None:
+            disk.merge_counters(
+                {k: int(v) - remote.cache.get(k, 0) for k, v in cache.items()}
+            )
+        remote.cache = dict(cache)
+
     async def _send(self, remote: _Remote, msg: Dict, blob: bytes = b"") -> None:
         async with remote.wlock:
             await write_frame(remote.writer, msg, blob)
@@ -443,13 +574,16 @@ class Coordinator:
             pass
 
     async def _lose_worker(
-        self, remote: _Remote, reason: str, clean: bool = False
+        self, remote: _Remote, reason: str, clean: bool = False,
+        kind: str = "worker-crash",
     ) -> None:
         """Unregister *remote* and reassign its leased points.
 
-        A crash/partition blames the first unreported point of each lease
-        (the one that was executing) exactly like a crashed local worker;
-        a clean ``bye`` requeues everything blame-free.
+        A crash, partition or (*kind* ``timeout``) silent lease blames
+        the first unreported point of each lease (the one that was
+        executing) and requeues the rest blame-free; a timed-out local
+        session is SIGKILLed so its supervisor respawns it. A clean
+        ``bye`` or retirement requeues everything blame-free.
         """
         if self._workers.get(remote.worker_id) is not remote:
             return  # already reaped (monitor/EOF race)
@@ -464,19 +598,19 @@ class Coordinator:
                 run.state.now(),
                 "worker_lost" if not clean else "worker_bye",
                 worker=remote.worker_id,
+                slot=remote.slot,
                 reason=reason,
             )
+            if kind == "timeout" and run.fleet is not None:
+                run.fleet.kill(remote.caps.get("pid"))
         for lease in list(remote.leases.values()):
-            remote.leases.pop(lease.lease_id, None)
             lrun = lease.run
-            if lrun is not self._run or lrun is None or lrun.done.is_set():
+            if lrun is not self._run or lrun.done.is_set():
+                remote.leases.pop(lease.lease_id, None)
                 continue
+            self._end_lease(remote, lease)
             state = lrun.state
-            unreported = [
-                (index, point)
-                for index, point in lease.pairs
-                if index not in lease.reported and index not in state.outcomes
-            ]
+            unreported = lease.unreported()
             if not unreported:
                 continue
             if state.deadline_expired():
@@ -486,28 +620,17 @@ class Coordinator:
             if clean:
                 self._requeue(lrun, unreported)
                 continue
-            suspect_index, suspect_point = unreported[0]
-            retrying = state.point_failed(
-                suspect_index,
-                suspect_point,
-                "worker-crash",
+            delay = state.point_failed(
+                *unreported[0],
+                kind,
                 f"worker {remote.worker_id} lost mid-point ({reason})",
-            )
-            state.report.record(
-                state.now(),
-                "worker_crash",
+                event="timeout_kill" if kind == "timeout" else "worker_crash",
                 worker=remote.worker_id,
-                index=suspect_index,
-                attempt=state.attempts[suspect_index],
-                final=not retrying,
+                slot=remote.slot,
+                chunk=lease.lease_id,
             )
-            if retrying:
-                delay = state.policy.delay(state.attempts[suspect_index])
-                state.report.record(
-                    state.now(), "retry", index=suspect_index,
-                    delay=round(delay, 3),
-                )
-                self._requeue(lrun, [(suspect_index, suspect_point)], delay)
+            if delay is not None:
+                self._requeue(lrun, unreported[:1], delay)
             self._requeue(lrun, unreported[1:])
         self._close_remote(remote)
         if run is not None:
@@ -515,25 +638,28 @@ class Coordinator:
 
     # -- dispatch ------------------------------------------------------------
 
+    async def _idle(self, remote: _Remote, retry_ms: int) -> None:
+        """Grant nothing; the session asks again after *retry_ms*."""
+        await self._send(remote, {"t": "grant", "lease": None, "retry_ms": retry_ms})
+
     async def _grant(self, remote: _Remote, msg: Dict) -> None:
         run = self._run
+        if run is not None:
+            self._settle(run)
         if run is None or run.done.is_set():
-            await self._send(
-                remote,
-                {"t": "grant", "lease": None, "points": [],
-                 "retry_ms": IDLE_RETRY_MS * 2, "active": False},
-            )
-            return
-        self._enforce_deadline(run)
-        self._maybe_finish(run)
-        if run.done.is_set():
-            await self._send(
-                remote,
-                {"t": "grant", "lease": None, "points": [],
-                 "retry_ms": IDLE_RETRY_MS * 2, "active": False},
-            )
+            await self._idle(remote, IDLE_RETRY_MS * 2)
             return
         state = run.state
+        if run.recycle and remote.dispatched >= run.recycle:
+            # Retire between leases (bounding per-process memo growth);
+            # the session's supervisor respawns it.
+            state.report.record(
+                state.now(), "worker_retire", worker=remote.worker_id,
+                slot=remote.slot, dispatched=remote.dispatched,
+            )
+            await self._send(remote, {"t": "retire"})
+            await self._lose_worker(remote, "retired", clean=True)
+            return
         now = state.now()
         # Lazily prune queue copies of points that already resolved (a
         # duplicate outcome can finish a point while a requeued copy of
@@ -541,14 +667,21 @@ class Coordinator:
         run.pending = [
             qp for qp in run.pending if qp.index not in state.outcomes
         ]
-        eligible = [qp for qp in run.pending if qp.not_before <= now]
-        take: List[Tuple[int, SweepPoint]] = []
+        eligible = [
+            (qp.index, qp.point) for qp in run.pending if qp.not_before <= now
+        ]
         if eligible:
-            take = self._pick(run, remote, eligible, int(msg.get("max") or 0))
+            touched = set().union(*(w.groups for w in self._workers.values()))
+            # A local fleet is sized up front: size the first leases for
+            # all of its sessions, not just the ones connected so far.
+            sessions = max(len(self._workers), run.fleet.jobs if run.fleet else 0)
+            take = pick_lease(
+                eligible, sessions, remote.groups, touched, run.batch
+            )[: int(msg.get("max") or 0) or None]
             taken = {index for index, _ in take}
             run.pending = [qp for qp in run.pending if qp.index not in taken]
         else:
-            take = await self._steal(run, remote, msg)
+            take = await self._steal(run, remote)
         if not take:
             retry_ms = IDLE_RETRY_MS
             waiting = [qp.not_before for qp in run.pending]
@@ -556,23 +689,21 @@ class Coordinator:
                 retry_ms = max(
                     10, int((min(waiting) - state.now()) * 1000) + 10
                 )
-            await self._send(
-                remote,
-                {"t": "grant", "lease": None, "points": [],
-                 "retry_ms": min(retry_ms, 1000), "active": True},
-            )
+            await self._idle(remote, min(retry_ms, 1000))
             return
         self._next_lease += 1
-        lease = _Lease(self._next_lease, run, take)
+        lease = _Lease(self._next_lease, run, take, time.monotonic())
         remote.leases[lease.lease_id] = lease
         remote.groups.add(_group(take[0][1]))
+        remote.dispatched += len(take)
         self._counters["leases"] += 1
         self._counters["points_leased"] += len(take)
         state.report.record(
             state.now(),
-            "lease_grant",
+            "chunk_start",
             worker=remote.worker_id,
-            lease=lease.lease_id,
+            slot=remote.slot,
+            chunk=lease.lease_id,
             points=len(take),
         )
         await self._send(
@@ -585,86 +716,25 @@ class Coordinator:
                     for index, point in take
                 ],
                 "corpus": self._corpus_map(take),
-                "active": True,
             },
         )
 
-    def _pick(
-        self,
-        run: _Run,
-        remote: _Remote,
-        eligible: List[_QueuedPoint],
-        requested_max: int = 0,
-    ) -> List[Tuple[int, SweepPoint]]:
-        """Select one trace-group's worth of points for a lease.
-
-        Mirrors the local pool: points are ordered so configs sharing a
-        batch-plan geometry land adjacent, leases never mix trace groups,
-        and group affinity keeps each trace materialized on as few
-        workers as possible (prefer a group this worker already holds,
-        then a group no fleet member has touched, then anything).
-        """
-        eligible = sorted(
-            eligible,
-            key=lambda qp: (
-                qp.point.workload,
-                qp.point.length,
-                qp.point.seed,
-                qp.point.config.bp_size_kb,
-                qp.index,
-            ),
-        )
-        fleet_groups: Set[Tuple[str, int, int]] = set()
-        for other in self._workers.values():
-            fleet_groups |= other.groups
-        groups_in_queue = []
-        seen = set()
-        for qp in eligible:
-            g = _group(qp.point)
-            if g not in seen:
-                seen.add(g)
-                groups_in_queue.append(g)
-        group = next(
-            (g for g in groups_in_queue if g in remote.groups),
-            next(
-                (g for g in groups_in_queue if g not in fleet_groups),
-                groups_in_queue[0],
-            ),
-        )
-        in_group = [qp for qp in eligible if _group(qp.point) == group]
-        if run.batch is not None:
-            bound = max(1, int(run.batch))
-        else:
-            live = max(1, len(self._workers))
-            bound = max(1, ceil(len(eligible) / (live * 4)))
-        if requested_max > 0:
-            bound = min(bound, requested_max)
-        return [(qp.index, qp.point) for qp in in_group[:bound]]
-
-    async def _steal(
-        self, run: _Run, thief: _Remote, msg: Dict
-    ) -> List[Tuple[int, SweepPoint]]:
+    async def _steal(self, run: _Run, thief: _Remote) -> List[Pair]:
         """Revoke the tail half of the fattest lease's unstarted points.
 
         The first unreported point of a lease is (potentially) executing
         and is never stolen; only points the victim has not reached yet
         move. The victim learns via a ``revoke`` push and skips them.
         """
-        best: Optional[Tuple[_Remote, _Lease, List[Tuple[int, SweepPoint]]]] = None
+        best: Optional[Tuple[_Remote, _Lease, List[Pair]]] = None
         for remote in self._workers.values():
             if remote is thief or remote.closed:
                 continue
             for lease in remote.leases.values():
                 if lease.run is not run:
                     continue
-                unstarted = [
-                    (index, point)
-                    for index, point in lease.pairs
-                    if index not in lease.reported
-                    and index not in run.state.outcomes
-                ]
                 # Drop the head: that point may be executing right now.
-                unstarted = unstarted[1:]
+                unstarted = lease.unreported()[1:]
                 if not unstarted:
                     continue
                 if best is None or len(unstarted) > len(best[2]):
@@ -725,35 +795,39 @@ class Coordinator:
 
     # -- outcome handling ----------------------------------------------------
 
-    def _lease_for(self, remote: _Remote, msg: Dict) -> Optional[_Lease]:
+    def _outcome(self, remote: _Remote, msg: Dict):
+        """The ``(lease, index, point)`` an outcome frame resolves, or
+        ``None`` for a late, stolen or duplicate outcome."""
         lease = remote.leases.get(msg.get("lease"))
         if lease is None or lease.run is not self._run:
-            return None
-        return lease
-
-    def _handle_ok(self, remote: _Remote, msg: Dict) -> None:
-        remote.counters = dict(msg.get("counters") or remote.counters)
-        lease = self._lease_for(remote, msg)
-        if lease is None:
             self._counters["outcomes_duplicate"] += 1
-            return
-        run = lease.run
-        state = run.state
+            return None
         index = int(msg["index"])
         lease.reported.add(index)
-        if index in state.outcomes:
-            self._counters["outcomes_duplicate"] += 1
-            return
+        lease.progress = time.monotonic()
         point = next((p for i, p in lease.pairs if i == index), None)
-        if point is None:
+        if point is None or index in lease.run.state.outcomes:
             self._counters["outcomes_duplicate"] += 1
+            return None
+        return lease, index, point
+
+    def _handle_ok(self, remote: _Remote, msg: Dict) -> None:
+        found = self._outcome(remote, msg)
+        if found is None:
             return
+        lease, index, point = found
+        run = lease.run
+        state = run.state
         result = result_from_wire(msg["result"])
         disk = get_disk_cache()
-        if disk is not None:
+        if disk is not None and run.fleet is None:
             # Persist like a locally executed point: --resume and the
             # service result cache must not care where a point ran.
-            disk.store_result(point_key(point), result)
+            # (Local sessions already wrote to this very cache.)
+            key = point_key(point)
+            disk.store_result(key, result)
+            if msg.get("obs") is not None:
+                disk.store_obs(key, msg["obs"])
         state.point_succeeded(index, point, result, float(msg.get("seconds", 0.0)))
         self._counters["outcomes_ok"] += 1
         state.report.record(
@@ -761,68 +835,46 @@ class Coordinator:
             "point_ok",
             index=index,
             worker=remote.worker_id,
+            slot=remote.slot,
             attempt=state.attempts[index],
         )
         self._maybe_finish(run)
 
     def _handle_err(self, remote: _Remote, msg: Dict) -> None:
-        remote.counters = dict(msg.get("counters") or remote.counters)
-        lease = self._lease_for(remote, msg)
-        if lease is None:
-            self._counters["outcomes_duplicate"] += 1
+        found = self._outcome(remote, msg)
+        if found is None:
             return
+        lease, index, point = found
         run = lease.run
         state = run.state
-        index = int(msg["index"])
-        lease.reported.add(index)
-        if index in state.outcomes:
-            self._counters["outcomes_duplicate"] += 1
-            return
-        point = next((p for i, p in lease.pairs if i == index), None)
-        if point is None:
-            self._counters["outcomes_duplicate"] += 1
-            return
         self._counters["outcomes_err"] += 1
-        retrying = state.point_failed(
+        kind = str(msg.get("kind", "exception"))
+        delay = state.point_failed(
             index,
             point,
-            str(msg.get("kind", "exception")),
+            kind,
             str(msg.get("message", "")),
             str(msg.get("traceback", "")),
-        )
-        state.report.record(
-            state.now(),
-            "point_error",
-            index=index,
             worker=remote.worker_id,
-            error=str(msg.get("kind", "exception")),
-            attempt=state.attempts[index],
-            final=not retrying,
+            slot=remote.slot,
+            error=kind,
         )
-        if retrying:
-            delay = state.policy.delay(state.attempts[index])
-            state.report.record(
-                state.now(), "retry", index=index, delay=round(delay, 3)
-            )
+        if delay is not None:
             self._requeue(run, [(index, point)], delay)
         self._maybe_finish(run)
 
     def _handle_lease_done(self, remote: _Remote, msg: Dict) -> None:
-        remote.counters = dict(msg.get("counters") or remote.counters)
-        lease = remote.leases.pop(msg.get("lease"), None)
+        lease = remote.leases.get(msg.get("lease"))
         if lease is None or lease.run is not self._run:
+            remote.leases.pop(msg.get("lease"), None)
             return
+        self._end_lease(remote, lease)
         run = lease.run
         state = run.state
-        dropped = [
-            (index, point)
-            for index, point in lease.pairs
-            if index not in lease.reported and index not in state.outcomes
-        ]
+        dropped = lease.unreported()
         if dropped and not state.deadline_expired():
             # The worker finished its lease without reporting these
-            # points (lost outcome frames): requeue blame-free, exactly
-            # like a local worker's deferred points.
+            # points (lost outcome frames): requeue blame-free.
             self._counters["outcomes_dropped"] += len(dropped)
             state.report.record(
                 state.now(),
@@ -964,7 +1016,31 @@ def shutdown_coordinators() -> None:
         _coordinators.clear()
 
 
-def run_dist(state, url: str, batch: Optional[int] = None):
+def run_dist(state, url: str, batch: Optional[int] = None, recycle: int = 0):
     """Engine entry point: drain *state* through the coordinator at *url*."""
-    coord = get_coordinator(url)
-    return coord.execute(state, batch=batch)
+    return get_coordinator(url).execute(state, batch=batch, recycle=recycle)
+
+
+def run_local(state, jobs: int, batch: Optional[int] = None, recycle: int = 0):
+    """Engine entry point for ``jobs > 1``: drain *state* through a
+    private loopback coordinator and up to *jobs* forked sessions that
+    share this process's disk cache. Every session is stopped and
+    reaped before this returns."""
+    from .worker import Supervisor
+
+    disk = get_disk_cache()
+    coord = Coordinator().start()
+    fleet = Supervisor(
+        coord.address,
+        min(jobs, len(state.pairs)),
+        "local",
+        cache_root=str(disk.root) if disk is not None else None,
+        cache_enabled=disk is not None,
+        cache_shard=disk.shard if disk is not None else None,
+    )
+    try:
+        fleet.start()
+        return coord.execute(state, batch=batch, recycle=recycle, fleet=fleet)
+    finally:
+        fleet.stop()
+        coord.stop()

@@ -28,15 +28,19 @@ import dataclasses
 import json
 import socket
 import struct
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from ..core.config import MachineConfig
 from ..core.exec.engine import SweepPoint
 from ..core.simulator import SimResult
+from ..obs.observer import ObsSpec
 
 #: Protocol schema version.  Bump on any incompatible frame or message
 #: change; the coordinator rejects workers with a different version.
-DIST_SCHEMA = 1
+#: Schema 2: points carry their ``ObsSpec``, ``ok`` frames the
+#: observation dump, frames the session's disk-cache counters, and a
+#: lease request may be answered with ``retire``.
+DIST_SCHEMA = 2
 
 _HEADER = struct.Struct(">II")
 
@@ -157,26 +161,25 @@ def config_from_wire(doc: Dict[str, Any]) -> MachineConfig:
 
 
 def point_to_wire(point: SweepPoint) -> Dict[str, Any]:
-    if point.obs is not None:
-        raise ProtocolError(
-            "observability capture is not supported over dist dispatch"
-        )
     return {
         "config": config_to_wire(point.config),
         "workload": point.workload,
         "length": point.length,
         "warmup": point.warmup,
         "seed": point.seed,
+        "obs": dataclasses.asdict(point.obs) if point.obs is not None else None,
     }
 
 
 def point_from_wire(doc: Dict[str, Any]) -> SweepPoint:
+    obs = doc.get("obs")
     return SweepPoint(
         config=config_from_wire(doc["config"]),
         workload=str(doc["workload"]),
         length=int(doc["length"]),
         warmup=int(doc["warmup"]),
         seed=int(doc["seed"]),
+        obs=ObsSpec(**obs) if obs is not None else None,
     )
 
 
@@ -202,7 +205,3 @@ def result_from_wire(doc: Dict[str, Any]) -> SimResult:
             str(k): float(v) for k, v in dict(doc.get("structure") or {}).items()
         },
     )
-
-
-def outcome_to_wire(kind: str, message: str = "", traceback: str = "") -> Dict[str, Any]:
-    return {"kind": kind, "message": message, "traceback": traceback}

@@ -1,14 +1,23 @@
-"""Dist worker: lease points, fetch missing content, stream outcomes.
+"""Dist sessions and their supervisor.
 
-``repro-sim worker --connect tcp://host:port`` runs a small supervisor
-that spawns N session processes (``--jobs``, defaulting to this host's
-own CPU count — never the coordinator's) and respawns any that die
-abnormally, so an injected or real SIGKILL costs one blamed point, not
-fleet capacity. Each session process opens its own coordinator
-connection and loops: request a lease, make sure the trace content the
-lease references is present locally (fetching missing shards by content
-hash, verify-on-receive), execute the points through the unchanged
+A *session* is one process holding one coordinator connection. It
+loops: request a lease, make sure the trace content the lease
+references is present locally (fetching missing shards by content hash,
+verify-on-receive), execute the points through the unchanged
 kernel-or-interpreter dispatch, and stream one outcome frame per point.
+Every frame carries the session's disk-cache counters, and an observed
+point's ``ok`` frame its observation dump, so the coordinator's process
+sees the same counters and artifacts a local run would leave.
+
+:class:`Supervisor` forks N sessions and respawns any that die
+abnormally or retire (``--recycle``), so an injected or real SIGKILL
+costs one blamed point, not fleet capacity. It is one non-blocking
+object with two users: ``repro-sim worker --connect tcp://host:port``
+wraps it in a signal-aware loop (:func:`run_worker`, ``--jobs``
+defaulting to this host's own CPU count), and ``run_points(jobs=N)``
+polls it from whichever thread runs the sweep while a private
+coordinator drains the points. A session exits on its own when its
+parent process dies.
 
 Network chaos (``REPRO_FAULT_SPEC`` kinds ``drop``/``delay``/
 ``disconnect``) hooks into the lease loop via
@@ -35,6 +44,8 @@ from ..core.exec.engine import (
     _classify_exception,
     configure_disk_cache,
     get_disk_cache,
+    point_key,
+    resolve_jobs,
     set_remote_plan_fetcher,
 )
 from ..core.exec.faults import maybe_net_fault, net_fault_delay
@@ -56,6 +67,13 @@ HB_INTERVAL = 5.0
 #: Attempts per shard before a fetch gives up (verify-on-receive: a
 #: corrupt blob is discarded and re-requested, never written).
 SHARD_FETCH_ATTEMPTS = 3
+
+#: Exit code of a session the coordinator retired (``--recycle``); the
+#: supervisor respawns it like a crashed one.
+RETIRED = 3
+
+#: Seconds between a session's checks that its parent is still alive.
+PARENT_POLL = 0.5
 
 
 class _InjectedDisconnect(Exception):
@@ -107,6 +125,9 @@ class WorkerSession:
     def _connect(self) -> None:
         sock = socket.create_connection((self.host, self.port), timeout=10)
         sock.settimeout(None)
+        # Outcome and lease frames are small: without NODELAY each lease
+        # hand-off waits out the peer's delayed ACK (about 40 ms).
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         try:
             send_frame(
                 sock,
@@ -119,6 +140,7 @@ class WorkerSession:
                         "platform": sys.platform,
                         "pid": os.getpid(),
                     },
+                    **self._counters(),
                 },
             )
             msg, _ = recv_frame(sock)
@@ -154,9 +176,19 @@ class WorkerSession:
         while not stop.wait(self.hb_interval):
             try:
                 with self._send_lock:
-                    send_frame(sock, {"t": "hb", "counters": dict(self.counters)})
+                    send_frame(sock, {"t": "hb", **self._counters()})
             except OSError:
                 return  # main loop will notice on its next socket op
+
+    def _counters(self) -> Dict:
+        """The counter fields every frame carries: this session's own
+        counters and its disk cache's, which the coordinator folds into
+        its process's cache."""
+        disk = get_disk_cache()
+        return {
+            "counters": dict(self.counters),
+            "cache": disk.snapshot() if disk is not None else {},
+        }
 
     def _send(self, msg: Dict, blob: bytes = b"") -> None:
         with self._send_lock:
@@ -177,12 +209,12 @@ class WorkerSession:
             int(i) for i in msg.get("indices", ())
         )
 
-    def _rpc(self, msg: Dict, want: str) -> Tuple[Dict, bytes]:
+    def _rpc(self, msg: Dict, *want: str) -> Tuple[Dict, bytes]:
         self._send(msg)
         reply, blob = self._recv()
-        if reply.get("t") != want:
+        if reply.get("t") not in want:
             raise ProtocolError(
-                f"expected {want!r} reply to {msg.get('t')!r}, "
+                f"expected {' or '.join(want)} reply to {msg.get('t')!r}, "
                 f"got {reply.get('t')!r}"
             )
         return reply, blob
@@ -206,6 +238,8 @@ class WorkerSession:
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> int:
+        """Serve leases until retired (:data:`RETIRED`), rejected (1) or
+        the coordinator stays unreachable for the retry window (0)."""
         set_remote_plan_fetcher(self._fetch_plan_blob)
         try:
             give_up_at = time.monotonic() + self.retry_window
@@ -220,6 +254,7 @@ class WorkerSession:
                 give_up_at = time.monotonic() + self.retry_window
                 try:
                     self._serve()
+                    return RETIRED
                 except _InjectedDisconnect:
                     self.counters["reconnects"] += 1
                     self.counters["net_faults"] += 1
@@ -237,12 +272,14 @@ class WorkerSession:
             self._close()
 
     def _serve(self) -> None:
+        """Lease and execute until the coordinator retires us."""
         while True:
             grant, _ = self._rpc(
-                {"t": "lease", "max": self.lease_max,
-                 "counters": dict(self.counters)},
-                "grant",
+                {"t": "lease", "max": self.lease_max, **self._counters()},
+                "grant", "retire",
             )
+            if grant["t"] == "retire":
+                return
             points = grant.get("points") or []
             if not points:
                 retry_ms = int(grant.get("retry_ms") or 200)
@@ -279,7 +316,7 @@ class WorkerSession:
                         "kind": _classify_exception(exc),
                         "message": f"{type(exc).__name__}: {exc}",
                         "traceback": traceback_module.format_exc(),
-                        "counters": dict(self.counters),
+                        **self._counters(),
                     }
                 )
                 continue
@@ -293,21 +330,22 @@ class WorkerSession:
             if net_kind == "delay":
                 self.counters["net_faults"] += 1
                 time.sleep(net_fault_delay())
-            self._send(
-                {
-                    "t": "ok",
-                    "lease": lease_id,
-                    "index": index,
-                    "result": result_to_wire(result),
-                    "seconds": time.monotonic() - t0,
-                    "counters": dict(self.counters),
-                }
-            )
+            msg = {
+                "t": "ok",
+                "lease": lease_id,
+                "index": index,
+                "result": result_to_wire(result),
+                "seconds": time.monotonic() - t0,
+                **self._counters(),
+            }
+            disk = get_disk_cache()
+            if point.obs is not None and disk is not None:
+                # Observation capture lands in the session's cache; the
+                # coordinator stores the dump in its own.
+                msg["obs"] = disk.load_obs(point_key(point))
+            self._send(msg)
         self._revoked.pop(lease_id, None)
-        self._send(
-            {"t": "lease_done", "lease": lease_id,
-             "counters": dict(self.counters)}
-        )
+        self._send({"t": "lease_done", "lease": lease_id, **self._counters()})
 
     # -- content fetch -------------------------------------------------------
 
@@ -432,28 +470,38 @@ class WorkerSession:
 # -- supervisor ---------------------------------------------------------------
 
 
+def _watch_parent(parent: int) -> None:
+    """Exit the process once *parent* is gone.
+
+    EOF alone cannot tell: a forked session inherits the coordinator's
+    listener and its siblings' sockets, so its connection may never
+    close when the parent dies.
+    """
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL)
+    os._exit(0)
+
+
 def _session_main(
     url: str,
     worker_id: str,
-    lease_max: int,
-    cache_root: Optional[str],
-    cache_enabled: bool,
-    corpus_root: Optional[str],
-    retry_window: float,
+    parent: int,
+    lease_max: int = 0,
+    cache_root: Optional[str] = None,
+    cache_enabled: bool = True,
+    cache_shard: Optional[bool] = None,
+    corpus_root: Optional[str] = None,
+    retry_window: float = 30.0,
 ) -> None:
-    # Under the fork start method a session inherits the supervisor's
+    threading.Thread(target=_watch_parent, args=(parent,), daemon=True).start()
+    # Under the fork start method a session inherits the CLI's
     # SIGTERM/SIGINT handler — a bare Event.set that means nothing in
     # this process and would make terminate() a no-op. Restore the
     # default disposition so the supervisor can actually stop sessions.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
-    if cache_enabled:
-        # Same default as `repro-sim sweep`: the standard cache root
-        # unless --cache-dir / REPRO_DISK_CACHE names another one. The
-        # cache is what makes re-runs of dropped/stolen points instant.
-        configure_disk_cache(enabled=True, root=cache_root)
-    else:
-        configure_disk_cache(enabled=False)
+    # The cache is what makes re-runs of dropped/stolen points instant.
+    configure_disk_cache(enabled=cache_enabled, root=cache_root, shard=cache_shard)
     if corpus_root:
         from ..corpus.resolve import configure_corpus
 
@@ -462,6 +510,86 @@ def _session_main(
         url, worker_id, lease_max=lease_max, retry_window=retry_window
     )
     sys.exit(session.run())
+
+
+class Supervisor:
+    """*jobs* session processes against the coordinator at *url*.
+
+    Non-blocking and usable from any thread: :meth:`start` forks the
+    sessions, :meth:`poll` reaps exited ones and respawns those that
+    died abnormally or retired (a session that exits 0 found its
+    coordinator gone for good and stays down), :meth:`stop` terminates
+    and reaps them all. :meth:`kill` lets a coordinator in this process
+    SIGKILL a hung session, but only one this supervisor owns.
+    *session* holds :func:`_session_main`'s keyword arguments.
+    """
+
+    def __init__(self, url: str, jobs: int, name: str, log=None, **session):
+        self.url = url
+        self.jobs = jobs
+        self.name = name
+        self._log = log
+        self._session = session
+        self._procs: Dict[int, multiprocessing.process.BaseProcess] = {}
+        self._lock = threading.Lock()
+
+    def _spawn(self, slot: int) -> None:
+        # Always fork: under ``forkserver`` (the POSIX default from Python
+        # 3.14) the fork server, not us, would be the session's parent.
+        proc = multiprocessing.get_context("fork").Process(
+            target=_session_main,
+            args=(self.url, f"{self.name}/{slot}", os.getpid()),
+            kwargs=self._session,
+            daemon=True,
+        )
+        proc.start()
+        self._procs[slot] = proc
+
+    def start(self) -> "Supervisor":
+        with self._lock:
+            for slot in range(self.jobs):
+                self._spawn(slot)
+        return self
+
+    def poll(self) -> bool:
+        """Reap and respawn; ``True`` while any session is up."""
+        with self._lock:
+            for slot, proc in list(self._procs.items()):
+                code = proc.exitcode
+                if code is None:
+                    continue
+                proc.join()
+                if code == 0:
+                    del self._procs[slot]  # coordinator is gone
+                    continue
+                if self._log is not None and code != RETIRED:
+                    self._log(
+                        f"repro-dist worker {self.name}/{slot}: session "
+                        f"died (exit {code}), respawning",
+                        flush=True,
+                    )
+                self._spawn(slot)
+            return bool(self._procs)
+
+    def kill(self, pid) -> None:
+        """SIGKILL session *pid* if it is one of ours and still running."""
+        with self._lock:
+            for proc in self._procs.values():
+                if proc.pid == pid and proc.exitcode is None:
+                    proc.kill()
+
+    def stop(self, timeout: float = 5.0) -> None:
+        """Terminate every session and reap it."""
+        with self._lock:
+            procs = list(self._procs.values())
+            self._procs.clear()
+        for proc in procs:
+            proc.terminate()
+        for proc in procs:
+            proc.join(timeout)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join()
 
 
 def run_worker(
@@ -475,40 +603,21 @@ def run_worker(
     retry_window: float = 30.0,
     log=print,
 ) -> int:
-    """``repro-sim worker``: supervise *jobs* session processes.
+    """``repro-sim worker``: supervise *jobs* sessions until SIGTERM/SIGINT.
 
-    *jobs* resolution is worker-local by design (the satellite fix):
-    an explicit ``--jobs`` wins, then the **worker host's** own
-    ``REPRO_JOBS``, then this host's CPU count — a coordinator's job
-    count never travels over the wire. Sessions that die abnormally
-    (e.g. an injected SIGKILL) are respawned after a short pause;
-    sessions that exit cleanly (their connection-retry window expired,
-    meaning the coordinator is gone) are not.
+    *jobs* resolution is worker-local by design: an explicit ``--jobs``
+    wins, then the **worker host's** own ``REPRO_JOBS``, then this
+    host's CPU count — a coordinator's job count never travels over the
+    wire. Returns once stopped, or once every session exited cleanly
+    (their connection-retry window expired: the coordinator is gone).
     """
-    from ..core.exec.engine import resolve_jobs
-
     jobs = resolve_jobs(jobs, default_auto=True)
     name = worker_name or f"{socket.gethostname()}-{os.getpid()}"
-    ctx = multiprocessing.get_context()
-    procs: Dict[int, object] = {}
-    respawns = 0
-
-    def spawn(slot: int) -> None:
-        proc = ctx.Process(
-            target=_session_main,
-            args=(
-                connect,
-                f"{name}/{slot}",
-                lease_max,
-                cache_root,
-                cache_enabled,
-                corpus_root,
-                retry_window,
-            ),
-        )
-        proc.start()
-        procs[slot] = proc
-
+    fleet = Supervisor(
+        connect, jobs, name, log, lease_max=lease_max, cache_root=cache_root,
+        cache_enabled=cache_enabled, corpus_root=corpus_root,
+        retry_window=retry_window,
+    )
     stopping = threading.Event()
 
     def handle_stop(_signum, _frame):
@@ -522,31 +631,11 @@ def run_worker(
             f"tcp://{connect.split('://')[-1]}",
             flush=True,
         )
-        for slot in range(jobs):
-            spawn(slot)
-        while procs:
-            if stopping.is_set():
-                for proc in procs.values():
-                    proc.terminate()
-                for proc in procs.values():
-                    proc.join(timeout=5)
-                return 0
-            for slot, proc in list(procs.items()):
-                if proc.is_alive():
-                    continue
-                if proc.exitcode == 0:
-                    del procs[slot]  # clean exit: coordinator is gone
-                    continue
-                respawns += 1
-                log(
-                    f"repro-dist worker {name}/{slot}: session died "
-                    f"(exit {proc.exitcode}), respawning",
-                    flush=True,
-                )
-                time.sleep(0.2)
-                spawn(slot)
+        fleet.start()
+        while not stopping.is_set() and fleet.poll():
             time.sleep(0.1)
         return 0
     finally:
+        fleet.stop()
         signal.signal(signal.SIGTERM, old_term)
         signal.signal(signal.SIGINT, old_int)

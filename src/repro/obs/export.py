@@ -199,7 +199,6 @@ SWEEP_INSTANT_KINDS = (
     "point_ok",
     "point_error",
     "retry",
-    "defer",
     "worker_crash",
     "timeout_kill",
     "resume_skip",

@@ -6,7 +6,7 @@ and finally classified. But a durable front end sees the same poison
 point again on the *next* job — and the one after — each time re-burning
 ``max_retries + 1`` worker executions (plus worker respawns for kills)
 before failing. At fleet scale that converts one bad config into a
-standing tax on the whole pool.
+standing tax on every batch.
 
 A :class:`PoisonBreaker` remembers crash/timeout outcomes per
 ``point_key`` **across jobs** and fails repeat offenders fast:

@@ -5,11 +5,12 @@ config × workload sweep grid (``POST /v1/sweep``). Jobs never execute
 anything themselves: every point is admitted into the single-flight
 table (:mod:`repro.service.coalesce`) under its content-hash cache key,
 and only flight *leaders* reach the execution queue. The executor loop
-drains that queue in batches onto the engine's resilient pool —
-``run_points(strict=False)`` with the daemon's worker count — so
-concurrent jobs share one warm pool and one pass over any shared
-points, and an injected worker crash surfaces as a classified per-point
-error in the job report instead of a dead daemon.
+drains that queue in batches through the engine —
+``run_points(strict=False)`` with the daemon's worker count, so a
+single-point batch runs in-process and a larger one on a session fleet
+started for that batch — so concurrent jobs share one pass over any
+shared points, and an injected worker crash surfaces as a classified
+per-point error in the job report instead of a dead daemon.
 
 Admission control is two-layered and enforced before any state is
 created: a per-client token bucket (:mod:`repro.service.limits`) and a
@@ -289,7 +290,7 @@ class JobManager:
     ) -> None:
         self.worker_jobs = resolve_jobs(jobs)
         #: "host:port" of a dist coordinator; when set, batches drain onto
-        #: the remote worker fleet instead of the local process pool.
+        #: the remote worker fleet instead of local sessions.
         self.dispatch = dispatch
         self.queue_limit = int(queue_limit)
         self.batch_max = max(1, int(batch_max))
@@ -684,7 +685,7 @@ class JobManager:
             )
 
     def _run_batch(self, flights, deadline: Optional[float] = None):
-        """Execute one batch on the engine pool (worker thread).
+        """Execute one batch through the engine (worker thread).
 
         The ``on_outcome`` hook hops each final outcome onto the event
         loop as it streams in, so job event feeds update while the

@@ -134,6 +134,29 @@ def test_mid_sweep_deadline_classifies_stragglers_not_finished_points(
     assert by_workload  # structure sanity
 
 
+def test_parallel_deadline_lands_on_time(monkeypatch):
+    """Points still running when the deadline passes fail at the
+    deadline itself, not a scheduler tick later."""
+    monkeypatch.setenv(ENV_FAULT_SPEC, "hang:*:9")
+    monkeypatch.setenv(ENV_FAULT_HANG, "120")
+    pts = _points()
+    t0 = time.monotonic()
+    deadline = t0 + 2.5
+    report = run_points(
+        pts,
+        jobs=2,
+        strict=False,
+        policy=RetryPolicy(max_retries=0, backoff=0.01, timeout=None),
+        deadline=deadline,
+    )
+    _assert_all_deadline(report, len(pts))
+    failed_at = [
+        e["ts"] for e in report.events if e["kind"] == "deadline_exceeded"
+    ]
+    # Event times count from the sweep's start, which is just after t0.
+    assert max(failed_at) < deadline - t0 + 0.3
+
+
 def test_generous_deadline_changes_nothing(tmp_path):
     """With room to spare, deadline=None and a far deadline are
     bit-identical — the plumbing is free when unused."""

@@ -134,6 +134,19 @@ def test_disk_cache_serves_across_processes_via_run_points(tmp_path):
     assert get_disk_cache().counters["result_hits"] >= 3
 
 
+def test_parallel_sweep_folds_session_cache_counters(tmp_path):
+    """Sessions send their disk-cache counters with every frame; the
+    caller's cache adds them up as if every point had run in-process."""
+    cache = configure_disk_cache(True, tmp_path)
+    pts = _points()
+    cold = run_points(pts, jobs=2)
+    assert cache.counters["result_misses"] == len(pts)
+    assert cache.counters["result_hits"] == 0
+    warm = run_points(pts, jobs=2)
+    assert cache.counters["result_hits"] == len(pts)
+    assert warm == cold
+
+
 def test_corrupted_result_file_falls_back_to_recompute(tmp_path):
     cache = configure_disk_cache(True, tmp_path)
     point = SweepPoint(ibtb(16), "web_frontend", L, W, 7)
@@ -256,7 +269,22 @@ def test_run_one_uses_disk_cache_after_memory_clear(tmp_path):
     assert a.stats == b.stats and a.cycles == b.cycles
 
 
-# -- chunking edge cases -----------------------------------------------------
+# -- lease picking edge cases ------------------------------------------------
+
+
+def _leases(points, sessions):
+    """Drain *points* through the coordinator's lease picker, one lease
+    at a time, the way idle sessions pull them."""
+    from repro.dist.coordinator import pick_lease
+
+    queue = list(enumerate(points))
+    leases = []
+    while queue:
+        lease = pick_lease(queue, sessions)
+        leases.append(lease)
+        taken = {index for index, _ in lease}
+        queue = [pair for pair in queue if pair[0] not in taken]
+    return leases
 
 
 def _flat(chunks):
@@ -264,17 +292,16 @@ def _flat(chunks):
 
 
 def test_chunk_points_empty_list():
-    from repro.core.exec.engine import _chunk_points
+    from repro.dist.coordinator import pick_lease
 
-    assert _chunk_points([], jobs=4) == []
+    assert pick_lease([], sessions=4) == []
+    assert _leases([], sessions=4) == []
 
 
 def test_chunk_points_more_jobs_than_points():
-    from repro.core.exec.engine import _chunk_points
-
     pts = _points()[:3]
-    chunks = _chunk_points(pts, jobs=16)
-    # Every point lands in exactly one chunk, no chunk is empty.
+    chunks = _leases(pts, sessions=16)
+    # Every point lands in exactly one lease, no lease is empty.
     assert all(chunks)
     assert sorted(idx for idx, _ in _flat(chunks)) == [0, 1, 2]
     assert [pts[idx] for idx, _ in _flat(chunks)] == [
@@ -283,32 +310,31 @@ def test_chunk_points_more_jobs_than_points():
 
 
 def test_chunk_points_single_point():
-    from repro.core.exec.engine import _chunk_points
-
     pts = _points()[:1]
-    assert _chunk_points(pts, jobs=8) == [[(0, pts[0])]]
+    assert _leases(pts, sessions=8) == [[(0, pts[0])]]
 
 
 def test_chunk_points_single_shared_trace_group_respects_bound():
-    from repro.core.exec.engine import _chunk_points
+    from repro.dist.coordinator import pick_lease
 
     # Eight configs over ONE workload: a single shared-trace group. With
-    # jobs=1 the bound is ceil(8/4)=2, so the group must still be split
-    # for load balancing rather than emitted as one giant chunk.
+    # one session the bound is ceil(8/4)=2, so the group must still be
+    # split for load balancing rather than leased as one giant batch.
     pts = [
         SweepPoint(ibtb(2**i), "web_frontend", L, W, 7) for i in range(8)
     ]
-    chunks = _chunk_points(pts, jobs=1)
-    assert [len(c) for c in chunks] == [2, 2, 2, 2]
+    assert len(pick_lease(list(enumerate(pts)), sessions=1)) == 2
+    chunks = _leases(pts, sessions=1)
+    assert len(chunks) > 1 and all(1 <= len(c) <= 2 for c in chunks)
     assert sorted(idx for idx, _ in _flat(chunks)) == list(range(8))
+    # An explicit batch overrides the load-balancing bound.
+    assert len(pick_lease(list(enumerate(pts)), sessions=1, batch=5)) == 5
 
 
 def test_chunk_points_never_mixes_trace_groups():
-    from repro.core.exec.engine import _chunk_points
-
     pts = _points()  # 3 configs x 3 workloads, same length/seed
-    for jobs in (1, 2, 3, 8):
-        for chunk in _chunk_points(pts, jobs):
+    for sessions in (1, 2, 3, 8):
+        for chunk in _leases(pts, sessions):
             groups = {
                 (p.workload, p.length, p.seed) for _, p in chunk
             }

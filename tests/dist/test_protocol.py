@@ -155,12 +155,17 @@ def test_point_wire_round_trip():
     assert point_from_wire(point_to_wire(point)) == point
 
 
-def test_point_with_obs_is_rejected():
+def test_point_wire_round_trip_carries_obs_spec():
+    import json
+
+    from repro.obs import ObsSpec
+
     point = SweepPoint(
-        ibtb(16), "web_frontend", 4000, 1000, 7, obs={"capture": True}
+        ibtb(16), "web_frontend", 4000, 1000, 7,
+        obs=ObsSpec(events=False, interval=500, sample=2),
     )
-    with pytest.raises(ProtocolError, match="observability"):
-        point_to_wire(point)
+    doc = json.loads(json.dumps(point_to_wire(point)))
+    assert point_from_wire(doc) == point
 
 
 def test_result_wire_round_trip_is_bit_identical():

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import socket
 
 import pytest
 
@@ -19,6 +20,19 @@ from repro.corpus.store import CorpusError
 from repro.dist.worker import WorkerSession
 from repro.trace.external import save_trace_csv
 from repro.trace.workloads import get_trace
+
+# -- connection ---------------------------------------------------------------
+
+
+def test_session_socket_sets_tcp_nodelay(coordinator):
+    """Small lease/outcome frames must not wait on delayed ACKs."""
+    session = WorkerSession(f"127.0.0.1:{coordinator.port}", "nodelay-probe")
+    session._connect()
+    try:
+        assert session.sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+    finally:
+        session._close()
+
 
 # -- resolve_jobs precedence (the REPRO_JOBS satellite fix) -------------------
 
