@@ -8,47 +8,81 @@ sub-streams can be derived for independent components.
 
 from __future__ import annotations
 
+from itertools import chain
+
+import numpy as np
+
 MASK64 = (1 << 64) - 1
+
+#: SplitMix64's Weyl-sequence increment.
+GAMMA = 0x9E3779B97F4A7C15
+
+#: Draws computed per block.
+BLOCK = 2048
+
+_TWO64 = float(1 << 64)
+
+
+def _blocks(seed: int):
+    """Endless SplitMix64 output of *seed*, as lists of ``BLOCK`` ints.
+
+    Draw n (n = 1, 2, ...) is ``mix(seed + n * GAMMA mod 2**64)``, so a
+    whole block is computed at once in numpy ``uint64``, whose
+    arithmetic wraps mod 2**64 exactly like the masked scalar formula.
+    """
+    u64 = np.uint64
+    steps = np.arange(1, BLOCK + 1, dtype=u64) * u64(GAMMA)
+    base = seed
+    while True:
+        z = steps + u64(base)
+        z ^= z >> u64(30)
+        z *= u64(0xBF58476D1CE4E5B9)
+        z ^= z >> u64(27)
+        z *= u64(0x94D049BB133111EB)
+        z ^= z >> u64(31)
+        yield z.tolist()
+        base = (base + BLOCK * GAMMA) & MASK64
 
 
 class SplitMix:
-    """SplitMix64 PRNG: fast, high-quality, trivially seedable."""
+    """SplitMix64 PRNG: fast, high-quality, trivially seedable.
 
-    __slots__ = ("state",)
+    Draws are computed ``BLOCK`` at a time (see :func:`_blocks`) and
+    handed out one by one; the stream is bit-identical to the scalar
+    ``state += GAMMA; return mix(state)`` loop.
+    """
+
+    __slots__ = ("_draw",)
 
     def __init__(self, seed: int) -> None:
-        self.state = seed & MASK64
+        self._draw = chain.from_iterable(_blocks(seed & MASK64)).__next__
 
     def next_u64(self) -> int:
         """Next 64-bit value."""
-        self.state = (self.state + 0x9E3779B97F4A7C15) & MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        return self._draw()
 
     def uniform(self) -> float:
         """Float in [0, 1)."""
-        return self.next_u64() / float(1 << 64)
+        return self._draw() / _TWO64
 
     def randint(self, lo: int, hi: int) -> int:
         """Integer in [lo, hi] inclusive."""
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
-        return lo + self.next_u64() % (hi - lo + 1)
+        return lo + self._draw() % (hi - lo + 1)
 
     def choice(self, seq):
         """Uniformly pick one element of *seq*."""
         if not seq:
             raise ValueError("choice from empty sequence")
-        return seq[self.next_u64() % len(seq)]
+        return seq[self._draw() % len(seq)]
 
     def weighted_choice(self, items, weights) -> object:
         """Pick ``items[i]`` with probability proportional to ``weights[i]``."""
         total = float(sum(weights))
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
-        point = self.uniform() * total
+        point = self._draw() / _TWO64 * total
         acc = 0.0
         for item, weight in zip(items, weights):
             acc += weight
@@ -63,8 +97,9 @@ class SplitMix:
         if mean == 1.0:
             return 1
         p = 1.0 / mean
+        draw = self._draw
         count = 1
-        while self.uniform() > p:
+        while draw() / _TWO64 > p:
             count += 1
             if count > 64 * mean:  # hard safety bound
                 break
@@ -72,7 +107,7 @@ class SplitMix:
 
     def split(self) -> "SplitMix":
         """Derive an independent child stream."""
-        return SplitMix(self.next_u64() ^ 0xA5A5A5A5DEADBEEF)
+        return SplitMix(self._draw() ^ 0xA5A5A5A5DEADBEEF)
 
 
 def mix_hash(*values: int) -> int:

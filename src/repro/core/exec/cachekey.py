@@ -23,6 +23,42 @@ from dataclasses import asdict, is_dataclass
 #: instead of being served stale.
 CACHE_SCHEMA = 1
 
+#: Fingerprints of the semantics ``CACHE_SCHEMA`` stands for, recomputed
+#: by ``tests/core/test_fingerprint.py``: the sha256 of the columns of
+#: ``get_trace(name, 4000, 7)`` for every workload, and of the canonical
+#: JSON of each result (instructions, cycles, stats, structure) of a
+#: mini-matrix — the ideal I-BTB 16 baseline plus ``ibtb:16 rbtb:3
+#: bbtb:1:split mbbtb:2:allbr`` on two workloads, 3 000 instructions
+#: after a 750-instruction warm-up. A change that moves any of them must
+#: bump ``CACHE_SCHEMA`` and re-pin them.
+TRACE_FINGERPRINTS = {
+    "web_frontend": "a175af11042a185816c6716ac290018ec2ae73e4328c27be15f061f0b8f9f8dc",
+    "db_oltp": "b9856258897999e7bb5fcabaa119bc8d9f7e3e65cf1556367131bb3af2da799f",
+    "db_analytics": "9c1661595c4aec90e3dfbc76fda91f96440a770976dc9fc2997096aa8dd140d2",
+    "kv_store": "c368f775345080acfd187194707420b0014afa66f4579e64396ddde741a0122e",
+    "http_proxy": "295cb4ef0848b18373c77975d72a88e015881b77c215776b48468fc7a1170960",
+    "msg_broker": "9718b9ada37923f11a726c40ef659f2809ee539479a0b3494f57d3943b4af4a6",
+    "search_rank": "f270c7f97e4f04466bd6541fd9513283c3f9164ae06bc84a4e9d0682cdb9ab06",
+    "rpc_marshal": "5c2a3dc9b1cb4821c2f9f34e8eb7c59dbcee014fd0d444a1384e9abb50ccc766",
+    "gc_runtime": "1b93aa2b4f2c7cac0712c3e83045709a64b0404b2dcf404b40e4a36e3ad87ad7",
+    "template_render": "ebface243179b0216f352a706237a86f28d1349bf60ce8646f5455a973e2800d",
+    "compress_svc": "102a258f11fb05be95187853c3873c9a8f581ee27122de040470f2f2b6e8b035",
+    "ad_server": "1b93bbee534a42017985b5727378c8d56926f5db5af1d3daef9f52d91f9e00fc",
+}
+
+RESULT_FINGERPRINTS = {
+    "web_frontend ibtb:16@ideal": "40e6886f1d65935de5ada530f7773166710543a15ed78a390d0ab4c0a0f32be3",
+    "web_frontend ibtb:16": "4e2fa856041acb25a80e37a624aab18e38377b666ac9abdf8347e52d025c7e76",
+    "web_frontend rbtb:3": "ca65cb0ddd360a6f8766cc04140b8efc32ad997d0e0c3ab670806c9e031b7f58",
+    "web_frontend bbtb:1:split": "f3d782a222025e20a0040b0fa82a04f418d77d9cc28a0e6323a532aa9d85c9b1",
+    "web_frontend mbbtb:2:allbr": "bae4c7227046da30279099bd3b1833dc1a653237db27014982c990928e0173b0",
+    "kv_store ibtb:16@ideal": "677575a6a57baf818316dd0e8dbd3e7ec988504aca62cb9f9746ca31c51c69da",
+    "kv_store ibtb:16": "a01c61aa9973400c53870a33d8e6a2500797d5f31ee64f32c97798e9e6566509",
+    "kv_store rbtb:3": "0ec6b91b92aed5ea1067ca12d8b4fcdde6d2543215fb0c035d54cf419bcf4397",
+    "kv_store bbtb:1:split": "7e829f043b185a7b9083e103ca85368e56867b3c020a8f27cfbc76a483f655db",
+    "kv_store mbbtb:2:allbr": "98aa22573eb42d77bc68b84bb27a0058ac09d59bf482a8637967c842fc05361b",
+}
+
 
 def _plain(obj):
     """Reduce *obj* to JSON-serializable plain data, deterministically."""

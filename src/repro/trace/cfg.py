@@ -16,7 +16,9 @@ and footprint — those are the generator's explicit knobs (see
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Dict, List, Optional
 
 from repro.common.rng import SplitMix
@@ -206,6 +208,27 @@ class ProgramSpec:
     function_gap_max: int = 8
 
 
+class _Callees:
+    """The functions callable from one call-graph level (the strictly
+    deeper ones), ready for heat-weighted picks."""
+
+    __slots__ = ("pcs", "_cum_heats", "_total")
+
+    def __init__(self, functions: List[Function], level: int) -> None:
+        callees = [f for f in functions if f.level > level]
+        heats = [f.heat for f in callees]
+        self.pcs = [f.entry_pc for f in callees]
+        self._cum_heats = list(accumulate(heats))
+        self._total = float(sum(heats))
+
+    def pick(self, rng: SplitMix) -> int:
+        """Entry PC of a heat-weighted pick: what
+        ``rng.weighted_choice(pcs, heats)`` returns (same draw, same
+        total, same running sums), found by bisection."""
+        index = bisect_right(self._cum_heats, rng.uniform() * self._total)
+        return self.pcs[index] if index < len(self.pcs) else self.pcs[-1]
+
+
 class ProgramBuilder:
     """Generates a :class:`Program` from a :class:`ProgramSpec`."""
 
@@ -213,6 +236,7 @@ class ProgramBuilder:
         self.spec = spec
         self.rng = SplitMix(spec.seed)
         self._recent_dsts: List[int] = []
+        self._callees_at: Dict[int, _Callees] = {}
         # Shared data regions (see _make_mem): (base, span_bytes).
         self._hot_regions = [
             (HEAP_BASE + i * (1 << 16), self.rng.choice([4096, 8192, 16384]))
@@ -225,38 +249,38 @@ class ProgramBuilder:
 
     # -- instruction bodies ---------------------------------------------------
 
-    def _pick_src(self) -> int:
-        if self._recent_dsts and self.rng.uniform() < 0.6:
-            return self.rng.choice(self._recent_dsts)
-        return self.rng.randint(0, 31)
-
     def _make_body(self, pc: int, count: int, func_index: int) -> List[StaticInst]:
         spec = self.spec
+        uniform, randint, choice = self.rng.uniform, self.rng.randint, self.rng.choice
+        recent = self._recent_dsts
+        make_mem = self._make_mem
+        load_cut = spec.p_load
+        store_cut = load_cut + spec.p_store
+        mul_cut = store_cut + spec.p_mul
         insts = []
         for k in range(count):
-            roll = self.rng.uniform()
-            dst = self.rng.randint(1, 31)
-            src1 = self._pick_src()
-            src2 = self._pick_src()
+            roll = uniform()
+            dst = randint(1, 31)
+            # Sources read a recent destination 60 % of the time.
+            src1 = choice(recent) if recent and uniform() < 0.6 else randint(0, 31)
+            src2 = choice(recent) if recent and uniform() < 0.6 else randint(0, 31)
             mem = None
-            if roll < spec.p_load:
+            if roll < load_cut:
                 kind = "load"
-                mem = self._make_mem(func_index)
-            elif roll < spec.p_load + spec.p_store:
+                mem = make_mem(func_index)
+            elif roll < store_cut:
                 kind = "store"
-                mem = self._make_mem(func_index)
+                mem = make_mem(func_index)
                 dst = -1
-            elif roll < spec.p_load + spec.p_store + spec.p_mul:
+            elif roll < mul_cut:
                 kind = "mul"
             else:
                 kind = "alu"
             if dst >= 0:
-                self._recent_dsts.append(dst)
-                if len(self._recent_dsts) > 8:
-                    self._recent_dsts.pop(0)
-            insts.append(
-                StaticInst(pc=pc + k * ILEN, kind=kind, dst=dst, src1=src1, src2=src2, mem=mem)
-            )
+                recent.append(dst)
+                if len(recent) > 8:
+                    recent.pop(0)
+            insts.append(StaticInst(pc + k * ILEN, kind, dst, src1, src2, mem))
         return insts
 
     def _make_mem(self, func_index: int) -> MemBehavior:
@@ -382,7 +406,7 @@ class ProgramBuilder:
         """
         spec = self.spec
         handlers = self._callees(functions, entry.level)
-        if not handlers:
+        if not handlers.pcs:
             raise ValueError("program needs at least one non-entry function")
         blocks = entry.blocks
         n = len(blocks)
@@ -395,11 +419,11 @@ class ProgramBuilder:
                 block.cond_behavior = LoopBranch(mean_trips=12, jitter=4)
             else:
                 block.term_type = BranchType.CALL_INDIRECT
-                fanout = min(len(handlers), spec.dispatch_fanout)
+                fanout = min(len(handlers.pcs), spec.dispatch_fanout)
                 # Heat-weighted sample *with replacement*: hot handlers
                 # appear several times in the target list, so the uniform
                 # dynamic pick reproduces the hot/cold execution split.
-                picked = [self._pick_callee(handlers).entry_pc for _ in range(fanout)]
+                picked = [handlers.pick(self.rng) for _ in range(fanout)]
                 if len(set(picked)) == 1:
                     block.indirect_behavior = IndirectBehavior(
                         [picked[0]], IndirectBehavior.SINGLE
@@ -411,11 +435,11 @@ class ProgramBuilder:
                         picked, IndirectBehavior.STICKY, sticky_runs=8
                     )
 
-    def _callees(self, functions: List[Function], level: int) -> List[Function]:
-        return [f for f in functions if f.level > level]
-
-    def _pick_callee(self, callees: List[Function]) -> Function:
-        return self.rng.weighted_choice(callees, [f.heat for f in callees])
+    def _callees(self, functions: List[Function], level: int) -> _Callees:
+        callees = self._callees_at.get(level)
+        if callees is None:
+            callees = self._callees_at[level] = _Callees(functions, level)
+        return callees
 
     def _assign_terminators(self, func: Function, functions: List[Function]) -> None:
         spec = self.spec
@@ -430,9 +454,9 @@ class ProgramBuilder:
                 spec.w_plain,
                 spec.w_cond,
                 spec.w_jump if bi + 2 < n else 0.0,
-                spec.w_call if callees else 0.0,
+                spec.w_call if callees.pcs else 0.0,
                 spec.w_indirect_jump if bi + 2 < n else 0.0,
-                spec.w_indirect_call if callees else 0.0,
+                spec.w_indirect_call if callees.pcs else 0.0,
             ]
             choice = self.rng.weighted_choice(
                 ["plain", "cond", "jump", "call", "ijump", "icall"], weights
@@ -457,7 +481,7 @@ class ProgramBuilder:
                 block.taken_target = target_block.start_pc
             elif choice == "call":
                 block.term_type = BranchType.CALL_DIRECT
-                block.taken_target = self._pick_callee(callees).entry_pc
+                block.taken_target = callees.pick(self.rng)
             elif choice == "ijump":
                 block.term_type = BranchType.INDIRECT
                 block.indirect_behavior = self._make_indirect(
@@ -465,7 +489,7 @@ class ProgramBuilder:
                 )
             else:  # icall
                 block.term_type = BranchType.CALL_INDIRECT
-                block.indirect_behavior = self._make_indirect([f.entry_pc for f in callees])
+                block.indirect_behavior = self._make_indirect(callees.pcs)
 
     def _make_indirect(self, candidates: List[int]) -> IndirectBehavior:
         spec = self.spec

@@ -188,10 +188,11 @@ class Trace:
     @classmethod
     def load(cls, path: str) -> "Trace":
         """Load a trace previously written with :meth:`save`."""
-        data = np.load(path, allow_pickle=False)
-        trace = cls(name=str(data["name"]))
-        for col in cls._COLUMNS:
-            setattr(trace, col, [int(v) for v in data[col]])
+        with np.load(path, allow_pickle=False) as data:
+            trace = cls(name=str(data["name"]))
+            for col in cls._COLUMNS:
+                # tolist() yields Python ints, like the columns synthesis builds.
+                setattr(trace, col, data[col].tolist())
         return trace
 
     def slice(self, start: int, stop: Optional[int] = None) -> "Trace":

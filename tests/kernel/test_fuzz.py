@@ -8,14 +8,20 @@ interleave, splitting, MB-BTB pull policy, block reach, ideal or OoO
 back end, early resteer, predictor size — pairs each with a short trace
 from a random program (the CFG strategy of the property tests) and
 asserts that the interpreter and the kernel return equal
-:class:`SimResult`\\ s. A shrunk counterexample belongs in ``CONFIGS``.
+:class:`SimResult`\\ s — also after the kernel's result crosses the dist
+wire (``result_to_wire``, one frame over a socket pair,
+``result_from_wire``), the way a remote worker's result reaches the
+coordinator. A shrunk counterexample belongs in ``CONFIGS``.
 """
+
+import socket
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import MachineConfig, build_simulator
 from repro.core.passes.kernel import KERNEL_ENV
+from repro.dist import recv_frame, result_from_wire, result_to_wire, send_frame
 from repro.trace.cfg import build_program
 from repro.trace.synth import synthesize_trace
 
@@ -67,6 +73,14 @@ def _run(config, trace, warmup, mode, monkeypatch):
     return sim.run(warmup=warmup)
 
 
+def _over_the_wire(result):
+    a, b = socket.socketpair()
+    with a, b:
+        send_frame(a, result_to_wire(result))
+        msg, _blob = recv_frame(b)
+    return result_from_wire(msg)
+
+
 @settings(
     max_examples=25,
     deadline=None,
@@ -87,3 +101,4 @@ def test_kernel_matches_interp_on_any_config(
     interp = _run(config, trace, warmup, "interp", monkeypatch)
     kernel = _run(config, trace, warmup, "batched", monkeypatch)
     assert kernel == interp
+    assert _over_the_wire(kernel) == interp

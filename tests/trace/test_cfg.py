@@ -121,3 +121,29 @@ def test_static_instruction_count_consistent(program):
     total = sum(b.ninsts for f in program.functions for b in f.blocks)
     assert program.static_instructions() == total
     assert total > 0
+
+
+def test_callee_pick_is_weighted_choice_by_bisection():
+    """Callees are picked by bisecting running heat sums; the pick must
+    be exactly the linear scan of ``SplitMix.weighted_choice``."""
+    import random
+
+    from repro.common.rng import SplitMix
+    from repro.trace.cfg import Block, Function, _Callees
+
+    script = random.Random(3)
+    for trial in range(40):
+        functions = []
+        for i in range(script.randint(2, 40)):
+            heat = script.choice([script.random(), 1.0 / (i + 1) ** 1.2, 1e-9, 0.0])
+            func = Function(name=f"f{i}", level=script.randint(0, 4), heat=heat)
+            func.blocks.append(Block(start_pc=CODE_BASE + 64 * i, insts=[]))
+            functions.append(func)
+        for level in range(4):
+            callees = _Callees(functions, level)
+            heats = [f.heat for f in functions if f.level > level]
+            if sum(heats) <= 0:
+                continue
+            fast, scan = SplitMix(trial), SplitMix(trial)
+            for _ in range(200):
+                assert callees.pick(fast) == scan.weighted_choice(callees.pcs, heats)

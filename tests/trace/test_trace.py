@@ -122,6 +122,20 @@ def test_save_load_roundtrip(tmp_path):
     back.validate()
 
 
+def test_load_gives_equal_columns_of_python_ints(tmp_path):
+    from repro.trace.workloads import get_trace
+
+    tr = get_trace("web_frontend", 4_000)
+    path = str(tmp_path / "t.npz")
+    tr.save(path)
+    back = Trace.load(path)
+    assert back.name == tr.name
+    for col in Trace._COLUMNS:
+        values = getattr(back, col)
+        assert values == getattr(tr, col), col
+        assert all(type(v) is int for v in values), col
+
+
 def test_line_index_matches_per_pc_division():
     from repro.common.types import LINE_BYTES
     from repro.trace.workloads import get_trace
