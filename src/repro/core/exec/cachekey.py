@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, is_dataclass
+from dataclasses import fields, is_dataclass
 
 #: Version of the cached payloads *and* of the simulation semantics they
 #: capture. Bump this whenever the simulator timing model, the trace
@@ -60,19 +60,34 @@ RESULT_FINGERPRINTS = {
 }
 
 
-def _plain(obj):
-    """Reduce *obj* to JSON-serializable plain data, deterministically."""
+#: Exact types returned as they are (subclasses take the full walk).
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def _plain(obj, nested: bool = False):
+    """Reduce *obj* to JSON-serializable plain data, deterministically.
+
+    A dataclass carries its class name under ``__type__``, unless it is
+    *nested* inside another dataclass: there it is a plain dict of its
+    fields, the shape ``dataclasses.asdict`` gave the keys first made
+    (``tests/core/test_cachekey.py`` keeps that canonicalizer as the
+    reference and pins the keys).
+    """
+    if type(obj) in _SCALAR_TYPES:
+        return obj
     if is_dataclass(obj) and not isinstance(obj, type):
-        fields = asdict(obj)
-        return {
-            "__type__": type(obj).__name__,
-            **{k: _plain(v) for k, v in fields.items()},
-        }
+        plain = {} if nested else {"__type__": type(obj).__name__}
+        for field in fields(obj):
+            value = getattr(obj, field.name)
+            plain[field.name] = (
+                value if type(value) in _SCALAR_TYPES else _plain(value, True)
+            )
+        return plain
     if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
+        return {str(k): _plain(v, nested) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
+        return [_plain(v, nested) for v in obj]
+    if isinstance(obj, (str, int, float, bool)):
         return obj
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for cache keying")
 

@@ -54,7 +54,7 @@ import shutil
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from repro.core.exec.cachekey import CACHE_SCHEMA
 from repro.core.simulator import SimResult
@@ -183,17 +183,26 @@ class DiskCache:
 
     # -- paths / plumbing ---------------------------------------------------
 
+    def _layouts(self, tier_dir: Path, key: str, suffix: str) -> Iterator[Path]:
+        """The two places *key* may live in *tier_dir*, preferred layout
+        first (sharded when ``self.shard``, flat otherwise); lazily, so a
+        caller that stops at the first never builds the second."""
+        name = f"{key}{suffix}"
+        if self.shard:
+            yield tier_dir / key[:2] / name
+            yield tier_dir / name
+        else:
+            yield tier_dir / name
+            yield tier_dir / key[:2] / name
+
     def _entry_path(self, tier_dir: Path, key: str, suffix: str) -> Path:
         """Path of *key* in *tier_dir*, honouring the shard layout.
 
-        The preferred layout (sharded when ``self.shard``, flat
-        otherwise) wins, but an entry that already exists under the
-        *other* layout is found and reused, so flat and sharded caches
-        interoperate on one root.
+        The preferred layout wins, but an entry that already exists
+        under the *other* layout is found and reused, so flat and
+        sharded caches interoperate on one root.
         """
-        flat = tier_dir / f"{key}{suffix}"
-        sharded = tier_dir / key[:2] / f"{key}{suffix}"
-        preferred, other = (sharded, flat) if self.shard else (flat, sharded)
+        preferred, other = self._layouts(tier_dir, key, suffix)
         if not preferred.exists() and other.exists():
             return other
         return preferred
@@ -264,30 +273,33 @@ class DiskCache:
     def load_result(self, key: str) -> Optional[SimResult]:
         """Fetch a cached :class:`SimResult`, or ``None`` on miss.
 
-        Corrupted or truncated entries are removed and count as misses.
+        Reads the preferred layout and falls back to the other one only
+        when the entry is not there, so a hit costs one open and no
+        probe. Corrupted or truncated entries are removed and count as
+        misses.
         """
-        path = self.result_path(key)
-        try:
-            payload = json.loads(path.read_text())
-            result = SimResult(
-                name=str(payload["name"]),
-                instructions=int(payload["instructions"]),
-                cycles=int(payload["cycles"]),
-                stats={str(k): float(v) for k, v in payload["stats"].items()},
-                structure={
-                    str(k): float(v) for k, v in payload["structure"].items()
-                },
-            )
-        except FileNotFoundError:
-            self.counters["result_misses"] += 1
-            return None
-        except Exception:
-            self._drop(path)
-            self.counters["result_misses"] += 1
-            return None
-        self.counters["result_hits"] += 1
-        self._touch(path)
-        return result
+        for path in self._layouts(self.results_dir, key, ".json"):
+            try:
+                payload = json.loads(path.read_bytes())
+                result = SimResult(
+                    name=str(payload["name"]),
+                    instructions=int(payload["instructions"]),
+                    cycles=int(payload["cycles"]),
+                    stats={str(k): float(v) for k, v in payload["stats"].items()},
+                    structure={
+                        str(k): float(v) for k, v in payload["structure"].items()
+                    },
+                )
+            except FileNotFoundError:
+                continue
+            except Exception:
+                self._drop(path)
+                break
+            self.counters["result_hits"] += 1
+            self._touch(path)
+            return result
+        self.counters["result_misses"] += 1
+        return None
 
     def store_result(self, key: str, result: SimResult) -> None:
         payload = {

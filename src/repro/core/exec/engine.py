@@ -63,8 +63,9 @@ def _corpus_resolve():
 
     return resolve
 
-#: Set to ``1``/``true`` (enable, default root) or a directory path to
-#: enable the persistent cache without touching code.
+#: Set to ``1``/``true``/``yes``/``on`` (enable, default root) or a
+#: directory path to enable the persistent cache without touching code;
+#: ``0``/``false``/``no``/``off`` (any case) or unset leave it off.
 ENV_DISK_CACHE = "REPRO_DISK_CACHE"
 
 _disk_cache: Optional[DiskCache] = None
@@ -101,24 +102,30 @@ def configure_disk_cache(
     return _disk_cache
 
 
+def _env_disk_cache() -> Tuple[bool, Optional[str]]:
+    """``REPRO_DISK_CACHE`` as ``(enabled, root)``: an off value or unset
+    is ``(False, None)``, an on value ``(True, None)`` (the default
+    root), anything else ``(True, <that directory>)``."""
+    env = os.environ.get(ENV_DISK_CACHE, "").strip()
+    if env.lower() in ("", "0", "false", "no", "off"):
+        return False, None
+    if env.lower() in ("1", "true", "yes", "on"):
+        return True, None
+    return True, env
+
+
 def env_cache_root() -> Optional[str]:
     """The directory ``REPRO_DISK_CACHE`` names, if it names one (the
     variable also accepts plain on/off values like ``1``/``0``)."""
-    env = os.environ.get(ENV_DISK_CACHE, "").strip()
-    if env and env != "0" and env.lower() not in ("1", "true", "false", "yes"):
-        return env
-    return None
+    return _env_disk_cache()[1]
 
 
 def get_disk_cache() -> Optional[DiskCache]:
     """The active persistent cache, resolving ``REPRO_DISK_CACHE`` lazily."""
     global _disk_cache, _disk_cache_configured
     if not _disk_cache_configured:
-        env = os.environ.get(ENV_DISK_CACHE, "").strip()
-        if env and env != "0" and env.lower() != "false":
-            _disk_cache = DiskCache(env_cache_root())
-        else:
-            _disk_cache = None
+        enabled, root = _env_disk_cache()
+        _disk_cache = DiskCache(root) if enabled else None
         _disk_cache_configured = True
     return _disk_cache
 

@@ -69,6 +69,61 @@ def test_shard_env_default(tmp_path, monkeypatch):
     assert DiskCache(tmp_path).shard is False
 
 
+# -- result loads across the two layouts --------------------------------------
+#
+# ``load_result`` opens the preferred layout's file first and tries the
+# other layout only when that file is not there.
+
+KEY = "cd" + "0" * 62
+LAYOUTS = pytest.mark.parametrize("shard", [False, True], ids=["flat", "sharded"])
+
+
+def _at(cache, sharded):
+    """Where KEY's result lives under the flat or the sharded layout."""
+    name = f"{KEY}.json"
+    return cache.results_dir / KEY[:2] / name if sharded else cache.results_dir / name
+
+
+def _counts(cache):
+    return cache.counters["result_hits"], cache.counters["result_misses"]
+
+
+@LAYOUTS
+@pytest.mark.parametrize("where", ["preferred", "other"])
+def test_directory_at_a_result_path_is_a_miss(tmp_path, shard, where):
+    cache = DiskCache(tmp_path, shard=shard)
+    _at(cache, shard if where == "preferred" else not shard).mkdir(parents=True)
+    assert cache.load_result(KEY) is None
+    assert _counts(cache) == (0, 1)
+
+
+@LAYOUTS
+def test_corrupt_entry_under_the_other_layout_is_dropped(tmp_path, shard):
+    cache = DiskCache(tmp_path, shard=shard)
+    other = _at(cache, not shard)
+    other.parent.mkdir(parents=True, exist_ok=True)
+    other.write_text('{"name": ')
+    assert cache.load_result(KEY) is None
+    assert _counts(cache) == (0, 1)
+    assert not other.exists()
+    cache.store_result(KEY, _result("fresh"))
+    assert _at(cache, shard).is_file() and not other.exists()
+    assert cache.load_result(KEY).name == "fresh"
+
+
+@LAYOUTS
+def test_hit_under_the_other_layout_refreshes_its_mtime(tmp_path, shard):
+    DiskCache(tmp_path, shard=not shard).store_result(KEY, _result("other"))
+    cache = DiskCache(tmp_path, shard=shard)
+    other = _at(cache, not shard)
+    _age(other, 1000)
+    stale = other.stat().st_mtime
+    assert cache.load_result(KEY).name == "other"
+    assert _counts(cache) == (1, 0)
+    assert other.stat().st_mtime > stale + 900
+    assert not _at(cache, shard).exists()
+
+
 # -- tier stats + lock sweeping ----------------------------------------------
 
 

@@ -1,14 +1,19 @@
 """Tests for the sweep execution engine: parallelism + persistent cache."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import bbtb, ibtb, mbbtb, rbtb
 from repro.core.exec import (
+    ENV_CACHE_DIR,
+    ENV_DISK_CACHE,
     DiskCache,
     SweepPoint,
     configure_disk_cache,
+    default_cache_dir,
+    env_cache_root,
     execute_point,
     get_disk_cache,
     point_key,
@@ -267,6 +272,48 @@ def test_run_one_uses_disk_cache_after_memory_clear(tmp_path):
     b = run_one(bbtb(1), "web_frontend", L, W)
     assert a is not b
     assert a.stats == b.stats and a.cycles == b.cycles
+
+
+# -- REPRO_DISK_CACHE ----------------------------------------------------------
+
+
+@pytest.fixture()
+def _env_cwd(tmp_path, monkeypatch):
+    """A fresh cwd, a default cache root under tmp_path, and the
+    process-wide cache left for ``get_disk_cache`` to resolve."""
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "default"))
+    monkeypatch.setattr("repro.core.exec.engine._disk_cache_configured", False)
+    return cwd
+
+
+@pytest.mark.parametrize("value", ["0", "false", "no", "off", "No", " OFF "])
+def test_disk_cache_env_off_values_disable_the_cache(value, _env_cwd, monkeypatch):
+    monkeypatch.setenv(ENV_DISK_CACHE, value)
+    assert env_cache_root() is None
+    assert get_disk_cache() is None
+    execute_point(SweepPoint(ibtb(16), "web_frontend", 1_000, 250, 7))
+    assert list(_env_cwd.iterdir()) == []  # no cache directory named "no"
+
+
+@pytest.mark.parametrize("value", ["1", "true", "yes", "on", "ON"])
+def test_disk_cache_env_on_values_use_the_default_root(value, _env_cwd, monkeypatch):
+    monkeypatch.setenv(ENV_DISK_CACHE, value)
+    assert env_cache_root() is None
+    assert get_disk_cache().root == default_cache_dir()
+    assert list(_env_cwd.iterdir()) == []
+
+
+def test_disk_cache_env_any_other_value_names_the_root(_env_cwd, monkeypatch):
+    monkeypatch.setenv(ENV_DISK_CACHE, "store")
+    assert env_cache_root() == "store"
+    cache = get_disk_cache()
+    assert cache.root == Path("store")
+    point = SweepPoint(ibtb(16), "web_frontend", 1_000, 250, 7)
+    execute_point(point)
+    assert (_env_cwd / cache.result_path(point_key(point))).is_file()
 
 
 # -- lease picking edge cases ------------------------------------------------

@@ -212,6 +212,33 @@ def test_cmd_sweep_no_disk_cache(capsys):
         configure_disk_cache(False)
 
 
+@pytest.mark.parametrize("value", ["no", "OFF"])
+def test_cmd_sweep_off_disk_cache_env_names_no_directory(
+    value, tmp_path, monkeypatch, capsys
+):
+    """The sweep caches by default; ``REPRO_DISK_CACHE`` only names its
+    root, and an off value names none (not a directory called ``no``)."""
+    from repro.core.exec import ENV_CACHE_DIR, ENV_DISK_CACHE, configure_disk_cache
+    from repro.core.runner import clear_cache
+
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv(ENV_DISK_CACHE, value)
+    monkeypatch.setenv(ENV_CACHE_DIR, str(tmp_path / "default"))
+    try:
+        assert main([
+            "sweep", "ibtb:16", "--workloads", "web_frontend",
+            "--length", "2000",
+        ]) == 0
+        assert "disk cache: 0 result hits / 2 misses" in capsys.readouterr().out
+        assert list(cwd.iterdir()) == []
+        assert list((tmp_path / "default" / "v1" / "results").iterdir())
+    finally:
+        clear_cache()
+        configure_disk_cache(False)
+
+
 def test_cmd_sweep_bench_requires_disk_cache(capsys):
     assert main([
         "sweep", "ibtb:16", "--no-disk-cache", "--bench-out", "/tmp/x.json",
