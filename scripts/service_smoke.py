@@ -25,6 +25,12 @@ clean run would produce (the CI job ``cmp``\\ s it against a one-shot
 CLI sweep). It also asserts that none of the killed daemon's session
 processes outlives it.
 
+``--single-point SWEEP_JSON`` submits one ``POST /v1/run`` instead (the
+first config on the first workload), typically under a
+``REPRO_FAULT_SPEC`` that kills its session: the job must end ``done``,
+the daemon must stay ready, and the result must equal that point's
+entry in ``SWEEP_JSON``, a clean ``sweep --out`` document.
+
 Stdlib only; exits non-zero with a diagnostic on any violated invariant.
 """
 
@@ -56,6 +62,29 @@ def _request(port, method, path, body=None, headers=None, timeout=300):
     data = resp.read()
     conn.close()
     return resp.status, json.loads(data) if data else None
+
+
+def _events(port, job_id):
+    """A finished job's NDJSON event feed, parsed."""
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        conn.request("GET", f"/v1/jobs/{job_id}/events")
+        body = conn.getresponse().read().decode()
+    finally:
+        conn.close()
+    return [json.loads(line) for line in body.splitlines() if line.strip()]
+
+
+def _wait_batches(port, n, timeout=60):
+    """The metrics document once *n* batches have folded their resilience
+    counters (a job finishes strictly before its batch does)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        _status, metrics = _request(port, "GET", "/v1/metrics")
+        if metrics["service"]["batches"] >= n:
+            return metrics
+        time.sleep(0.1)
+    raise SystemExit(f"FAIL: never saw {n} completed batch(es)")
 
 
 def _wait_job(port, job_id, timeout):
@@ -224,6 +253,71 @@ def _chaos_daemon(args, env) -> int:
             daemon.wait()
 
 
+def _single_point(args, env) -> int:
+    """One ``/v1/run``: done, still ready, and equal to the clean sweep."""
+    spec = {
+        "config": args.configs[0],
+        "workload": args.workloads[0],
+        "length": args.length,
+    }
+    daemon, port = _boot_daemon(args, env)
+    try:
+        status, doc = _request(port, "POST", "/v1/run", spec)
+        if status != 202:
+            raise SystemExit(f"FAIL: submission got HTTP {status}: {doc}")
+        job_id = doc["job"]
+        doc = _wait_job(port, job_id, args.timeout)
+        if doc["status"] != "done":
+            raise SystemExit(f"FAIL: single-point job did not converge: {doc}")
+        metrics = _wait_batches(port, 1)
+        print(f"metrics: resilience={metrics['resilience']}")
+        if os.environ.get("REPRO_FAULT_SPEC"):
+            if metrics["resilience"].get("retries", 0) < 1:
+                raise SystemExit(
+                    "FAIL: fault spec set but no retries recorded — "
+                    "the chaos run didn't actually exercise recovery"
+                )
+        status, ready = _request(port, "GET", "/v1/healthz/ready")
+        if status != 200:
+            raise SystemExit(f"FAIL: daemon not ready after the job: {ready}")
+
+        label = next(
+            e["config"] for e in _events(port, job_id) if e["event"] == "point"
+        )
+        entry = {
+            key: doc["result"][key]
+            for key in ("instructions", "cycles", "ipc", "branch_mpki",
+                        "misfetch_pki", "stats")
+        }
+        clean = json.loads(Path(args.single_point).read_text())
+        want = clean["configs"][label][spec["workload"]]
+        if json.dumps(entry, sort_keys=True) != json.dumps(
+            want, sort_keys=True
+        ):
+            raise SystemExit(
+                f"FAIL: {label} on {spec['workload']} differs from "
+                f"{args.single_point}"
+            )
+        print(f"{label} on {spec['workload']} matches {args.single_point}")
+        Path(args.out).write_text(
+            json.dumps({label: {spec["workload"]: entry}}, indent=2,
+                       sort_keys=True) + "\n"
+        )
+        print(f"wrote {args.out}")
+
+        daemon.send_signal(signal.SIGTERM)
+        rc = daemon.wait(timeout=120)
+        tail = daemon.stdout.read()
+        if rc != 0:
+            raise SystemExit(f"FAIL: daemon exited {rc} on SIGTERM: {tail}")
+        print("ok: single point converged, daemon stayed ready, drained")
+        return 0
+    finally:
+        if daemon.poll() is None:
+            daemon.kill()
+            daemon.wait()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", required=True, help="result document path")
@@ -251,6 +345,12 @@ def main(argv=None) -> int:
         "coalescing smoke",
     )
     parser.add_argument(
+        "--single-point", metavar="SWEEP_JSON",
+        help="submit one /v1/run (first config, first workload) instead "
+        "of the twin sweeps; its result must equal the point's entry in "
+        "this clean 'sweep --out' document",
+    )
+    parser.add_argument(
         "--kill-after", type=int, default=3, metavar="N",
         help="journal appends before the injected daemon SIGKILL "
         "(--chaos-daemon only; default 3: mid-job for any multi-point "
@@ -263,6 +363,8 @@ def main(argv=None) -> int:
     env["PYTHONPATH"] = f"{REPO / 'src'}{os.pathsep}" + env.get("PYTHONPATH", "")
     if args.chaos_daemon:
         return _chaos_daemon(args, env)
+    if args.single_point:
+        return _single_point(args, env)
     daemon, port = _boot_daemon(args, env)
     try:
         spec = {

@@ -908,7 +908,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--jobs", type=int, default=None,
-        help="worker processes (0 = auto-detect the CPU count; "
+        help="session processes forked at start-up and kept for the "
+        "daemon's lifetime (0 = auto-detect the CPU count; "
         "default: $REPRO_JOBS, else 1)",
     )
     p.add_argument(
@@ -937,7 +938,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--recycle", type=int, default=0, metavar="N",
-        help="retire each worker after N points (default 0: never)",
+        help="retire each session after N leased points, across batches "
+        "(default 0: never)",
     )
     p.add_argument(
         "--no-disk-cache", action="store_true",
@@ -982,10 +984,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--dist-listen", default=None, metavar="HOST:PORT",
-        help="host a dist coordinator at this address and drain sweep "
-        "jobs onto connected 'repro-sim worker' fleets instead of "
-        "local sessions; fleet counters appear under /v1/metrics "
-        "(docs/distributed.md)",
+        help="host the daemon's coordinator at this address and run "
+        "points on connected 'repro-sim worker' fleets instead of "
+        "local sessions (docs/distributed.md)",
     )
     p.set_defaults(func=_cmd_serve)
 

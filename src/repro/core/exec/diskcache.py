@@ -52,6 +52,7 @@ import json
 import os
 import shutil
 import tempfile
+import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Sequence
@@ -180,6 +181,14 @@ class DiskCache:
             "plan_misses": 0,
             "lock_skips": 0,
         }
+        #: Guards every counter update: in the service daemon a
+        #: coordinator thread folds its sessions' counts in while the
+        #: executor thread counts the hits it answers.
+        self._counts_lock = threading.Lock()
+
+    def _count(self, key: str, by: int = 1) -> None:
+        with self._counts_lock:
+            self.counters[key] = self.counters.get(key, 0) + by
 
     # -- paths / plumbing ---------------------------------------------------
 
@@ -256,7 +265,7 @@ class DiskCache:
         """
         wrote = atomic_write(path, writer)
         if not wrote:
-            self.counters["lock_skips"] += 1
+            self._count("lock_skips")
         return wrote
 
     @staticmethod
@@ -266,17 +275,18 @@ class DiskCache:
     def merge_counters(self, other: Dict[str, int]) -> None:
         """Fold hit/miss counters from a worker process into ours."""
         for key, value in other.items():
-            self.counters[key] = self.counters.get(key, 0) + int(value)
+            self._count(key, int(value))
 
     # -- results ------------------------------------------------------------
 
-    def load_result(self, key: str) -> Optional[SimResult]:
+    def load_result(self, key: str, count_miss: bool = True) -> Optional[SimResult]:
         """Fetch a cached :class:`SimResult`, or ``None`` on miss.
 
         Reads the preferred layout and falls back to the other one only
         when the entry is not there, so a hit costs one open and no
         probe. Corrupted or truncated entries are removed and count as
-        misses.
+        misses (unless *count_miss* is false: a probe whose miss the
+        execution that follows counts).
         """
         for path in self._layouts(self.results_dir, key, ".json"):
             try:
@@ -295,10 +305,11 @@ class DiskCache:
             except Exception:
                 self._drop(path)
                 break
-            self.counters["result_hits"] += 1
+            self._count("result_hits")
             self._touch(path)
             return result
-        self.counters["result_misses"] += 1
+        if count_miss:
+            self._count("result_misses")
         return None
 
     def store_result(self, key: str, result: SimResult) -> None:
@@ -320,15 +331,15 @@ class DiskCache:
         """Fetch a cached :class:`Trace`, or ``None`` on miss/corruption."""
         path = self.trace_path(key)
         if not path.exists():
-            self.counters["trace_misses"] += 1
+            self._count("trace_misses")
             return None
         try:
             trace = Trace.load(str(path))
         except Exception:
             self._drop(path)
-            self.counters["trace_misses"] += 1
+            self._count("trace_misses")
             return None
-        self.counters["trace_hits"] += 1
+        self._count("trace_hits")
         self._touch(path)
         return trace
 
@@ -348,7 +359,7 @@ class DiskCache:
 
         path = self.plan_path(key)
         if not path.exists():
-            self.counters["plan_misses"] += 1
+            self._count("plan_misses")
             return None
         try:
             with np.load(str(path)) as npz:
@@ -360,9 +371,9 @@ class DiskCache:
                 }
         except Exception:
             self._drop(path)
-            self.counters["plan_misses"] += 1
+            self._count("plan_misses")
             return None
-        self.counters["plan_hits"] += 1
+        self._count("plan_hits")
         self._touch(path)
         return arrays, meta
 
@@ -398,8 +409,8 @@ class DiskCache:
             return False  # load_plan already dropped the bad entry
         # The probe load bumped plan_hits; the adopted entry has not
         # served a real hit yet, so take it back.
-        self.counters["plan_hits"] -= 1
-        self.counters["plan_adopted"] = self.counters.get("plan_adopted", 0) + 1
+        self._count("plan_hits", -1)
+        self._count("plan_adopted")
         return True
 
     def iter_plans(self):
@@ -469,9 +480,7 @@ class DiskCache:
             if path.name.endswith(".lock") or path.name.startswith(".tmp-"):
                 if age > STALE_LOCK_SECONDS:
                     self._drop(path)
-                    self.counters["locks_swept"] = (
-                        self.counters.get("locks_swept", 0) + 1
-                    )
+                    self._count("locks_swept")
                 continue
             yield path, stat
 
@@ -530,10 +539,8 @@ class DiskCache:
                 self._drop(path)
                 evicted += 1
                 evicted_bytes += stat.st_size
-        self.counters["evicted"] = self.counters.get("evicted", 0) + evicted
-        self.counters["evicted_bytes"] = (
-            self.counters.get("evicted_bytes", 0) + evicted_bytes
-        )
+        self._count("evicted", evicted)
+        self._count("evicted_bytes", evicted_bytes)
         return {
             "evicted": evicted,
             "evicted_bytes": evicted_bytes,
@@ -547,4 +554,5 @@ class DiskCache:
 
     def snapshot(self) -> Dict[str, int]:
         """Copy of the hit/miss counters (for timing harnesses)."""
-        return dict(self.counters)
+        with self._counts_lock:
+            return dict(self.counters)

@@ -7,7 +7,7 @@ parallelism grain of the paper's ChampSim campaigns. Three layers:
 * :func:`execute_point` runs one point, consulting the persistent disk
   cache (results *and* synthesized traces) when one is configured;
 * :func:`run_points` runs a list of points, serially in-process or —
-  with ``jobs > 1`` or ``dispatch="dist://..."`` — through the
+  with ``jobs > 1`` or a ``dispatch`` coordinator — through the
   work-stealing coordinator of :mod:`repro.dist`, which leases
   trace-affine batches to session processes (local ones it forks, or a
   remote ``repro-sim worker`` fleet). Results are reassembled by
@@ -659,20 +659,21 @@ def run_points(
     recycle: int = 0,
     on_outcome: Optional[Callable[[PointOutcome], None]] = None,
     deadline: Optional[float] = None,
-    dispatch: Optional[str] = None,
+    dispatch=None,
 ):
     """Execute every point; results are positionally ordered like *points*.
 
     ``jobs=1`` runs serially in-process. ``jobs=0`` auto-detects the
     CPU count (:func:`resolve_jobs`). ``jobs>1`` starts a private
     work-stealing coordinator on a loopback port and forks up to *jobs*
-    session processes that lease trace-affine batches from it
-    (:func:`repro.dist.coordinator.run_local`); they are stopped and
-    reaped before this returns. Because each point is an independent
-    deterministic simulation and results are reassembled by index, the
-    output is bit-identical to the serial run. *batch* caps the lease
-    size explicitly (points per dispatch); *recycle* > 0 retires each
-    session after that many leased points, and a fresh one replaces it.
+    session processes that lease trace-affine batches from it, even for
+    a single point (:func:`repro.dist.coordinator.run_local`); they are
+    stopped and reaped before this returns. Because each point is an
+    independent deterministic simulation and results are reassembled by
+    index, the output is bit-identical to the serial run. *batch* caps
+    the lease size explicitly (points per dispatch); *recycle* > 0
+    retires each session after that many leased points, and a fresh one
+    replaces it.
 
     Resilience (``docs/robustness.md``): failures are retried with
     exponential backoff up to ``policy.max_retries`` (crashed/hung
@@ -698,26 +699,23 @@ def run_points(
     *deadline* is an absolute :func:`time.monotonic` instant: once it
     passes, queued points fail fast (classified ``timeout`` with a
     ``deadline-exceeded`` message, **nothing dispatched**) and points
-    still running fail the same way, their sessions stopped. It is the
-    bottom of the service daemon's per-request deadline plumbing
+    still running fail the same way, their local sessions killed. It is
+    the bottom of the service daemon's per-request deadline plumbing
     (``X-Deadline-Ms`` / job ``timeout_s``), layered on the per-point
     ``RetryPolicy.timeout`` machinery, not replacing it.
 
-    *dispatch* ``"dist://host:port"`` drains the points through the
-    coordinator listening there instead (started in-process on demand;
-    ``repro-sim worker`` processes connect and execute). Everything
-    above applies unchanged, observability capture included; *jobs* is
-    ignored (worker processes size themselves; see :func:`resolve_jobs`).
+    *dispatch* drains the points through a coordinator the caller keeps
+    instead: a :class:`repro.dist.Coordinator` object (the service
+    daemon's, which owns its sessions for life), or ``"dist://host:port"``
+    for the registry-held one listening there (started in-process on
+    demand; ``repro-sim worker`` processes connect and execute).
+    Everything above applies unchanged, observability capture included;
+    *jobs* is ignored (the fleet is sized by whoever started it; remote
+    workers size themselves, see :func:`resolve_jobs`).
     """
     points = list(points)
     jobs = resolve_jobs(jobs)
-    # A deadline must be able to preempt a *running* point, which only a
-    # session process allows (stop it); in-process serial execution
-    # enforces it between points only. So with a deadline and jobs > 1,
-    # even a single point runs in a session.
-    serial = dispatch is None and (
-        jobs == 1 or (len(points) <= 1 and deadline is None)
-    )
+    serial = dispatch is None and jobs == 1
     if (
         serial
         and strict

@@ -32,9 +32,11 @@ execution attempt of a matching point claims a sentinel file (atomic
 directory under the system temp dir). Faults therefore trigger on
 exactly the first N attempts regardless of which process runs the point.
 
-Fault kinds ``hang`` and ``kill`` need a parent to recover from them —
-use ``jobs >= 2``; in a serial sweep a ``kill`` takes down the whole
-process (exactly like a real SIGKILL would) and a ``hang`` sleeps out
+Fault kinds ``hang`` and ``kill`` need a parent to recover from them,
+which every point run in a session has: ``jobs >= 2``, a
+``repro-sim worker`` fleet, and every point ``repro-sim serve``
+executes. In a serial sweep a ``kill`` takes down the whole process
+(exactly like a real SIGKILL would) and a ``hang`` sleeps out
 ``REPRO_FAULT_HANG_S`` (default 3600 s) before raising.
 """
 

@@ -1,7 +1,8 @@
 """Sweep scheduling: coordinator, sessions, shard transfer.
 
 Every parallel sweep runs here, local (``run_points(jobs=N)`` forks N
-sessions against a private loopback coordinator) or distributed
+sessions against a private loopback coordinator, and ``repro-sim serve``
+keeps one such coordinator and its sessions for life) or distributed
 (``repro-sim worker`` fleets over TCP). The coordinator owns the point
 queue and the engine's ``_SweepState`` journal / retry machinery;
 sessions lease batches of points and stream outcomes back; a dead,
@@ -29,6 +30,7 @@ from .protocol import (  # noqa: F401
 from .coordinator import (  # noqa: F401
     Coordinator,
     get_coordinator,
+    local_coordinator,
     run_dist,
     shutdown_coordinators,
 )

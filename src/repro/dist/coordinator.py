@@ -1,10 +1,14 @@
 """Work-stealing sweep coordinator (asyncio TCP, thread-hosted).
 
-This is the only parallel scheduler. ``run_points(jobs=N)`` starts a
-private coordinator on a loopback port and forks N local sessions
-through :class:`~repro.dist.worker.Supervisor` (:func:`run_local`);
-``dispatch="dist://..."`` drains onto ``repro-sim worker`` fleets
-instead (:func:`run_dist`). Either way the coordinator owns the point
+This is the only parallel scheduler. A coordinator either owns local
+sessions — :func:`local_coordinator` forks them through
+:class:`~repro.dist.worker.Supervisor` onto a private loopback port —
+or serves ``repro-sim worker`` fleets that connect to it. What differs
+is only how long one lives: ``run_points(jobs=N)`` builds a local one
+per call (:func:`run_local`), while ``repro-sim serve`` keeps its
+coordinator, local or ``--dist-listen``, for its whole lifetime and
+leases every batch onto it (``run_points(dispatch=coordinator)``,
+:func:`run_dist`). Either way the coordinator owns the point
 queue and drives the engine's resilience machinery — the same
 :class:`~repro.core.exec.engine._SweepState` records retries, taxonomy
 counters, journal checkpoints and report events as a serial run. A
@@ -18,10 +22,14 @@ of ours).
 Dispatch is pull-based work stealing: idle sessions request leases;
 when the queue is empty but another session still holds unstarted
 points, the coordinator revokes the tail half of the victim's lease and
-hands it to the thief. Sessions stream one outcome frame per point, so
-progress is never lost in batch granularity. Leases are recorded as
-``chunk_start``/``chunk_end`` report events with the session's slot, so
-``sweep --chrome`` draws one track per session.
+hands it to the thief. A request that arrives while no sweep is open is
+parked and answered the moment the next one begins, so a fleet that
+outlives its sweeps starts each one without a polling delay; a local
+session still running a point its sweep gave up on at the deadline is
+SIGKILLed, and its supervisor respawns it. Sessions stream one outcome
+frame per point, so progress is never lost in batch granularity. Leases
+are recorded as ``chunk_start``/``chunk_end`` report events with the
+session's slot, so ``sweep --chrome`` draws one track per session.
 
 The asyncio event loop runs in a dedicated daemon thread; ``execute``
 blocks the calling thread (the engine or the service executor) until
@@ -184,14 +192,10 @@ class _Remote:
 class _Run:
     """One sweep being drained onto the fleet."""
 
-    def __init__(self, state, batch: Optional[int], recycle: int, fleet) -> None:
+    def __init__(self, state, batch: Optional[int], recycle: int) -> None:
         self.state = state
         self.batch = batch
         self.recycle = recycle
-        #: The :class:`~repro.dist.worker.Supervisor` of this run's local
-        #: sessions, which share this process's disk cache (``None`` for
-        #: a remote fleet; a private coordinator serves no other).
-        self.fleet = fleet
         self.pending: List[_QueuedPoint] = [
             _QueuedPoint(index, point) for index, point in state.pairs
         ]
@@ -220,6 +224,15 @@ class Coordinator:
         self._run_lock = threading.Lock()  # one sweep at a time
         self._run: Optional[_Run] = None
         self._workers: Dict[str, _Remote] = {}
+        #: Lease requests that arrived while no run was open, by worker
+        #: id; :meth:`_begin` answers them.
+        self._parked: Dict[str, Tuple[_Remote, Dict]] = {}
+        #: The :class:`~repro.dist.worker.Supervisor` of the local
+        #: sessions this coordinator owns (:func:`local_coordinator`),
+        #: which share this process's disk cache; ``None`` when it serves
+        #: remote workers. Polled (respawning dead sessions) for as long
+        #: as the coordinator lives, and stopped with it.
+        self.fleet = None
         self._next_lease = 0
         self._next_client = 0
         self._counters: Dict[str, int] = {k: 0 for k in FLEET_COUNTER_NAMES}
@@ -246,6 +259,9 @@ class Coordinator:
         return self
 
     def stop(self) -> None:
+        """Stop this coordinator and the local sessions it owns."""
+        if self.fleet is not None:
+            self.fleet.stop()
         loop = self._loop
         event = getattr(self, "_stop_event", None)
         if loop is None or event is None or self._thread is None:
@@ -285,21 +301,21 @@ class Coordinator:
         snap["workers_live"] = len(self._workers)
         return snap
 
-    def execute(self, state, batch: Optional[int] = None, recycle: int = 0,
-                fleet=None):
+    def execute(self, state, batch: Optional[int] = None, recycle: int = 0):
         """Drain *state*'s pending points onto the fleet; blocks until done.
 
         *recycle* > 0 retires a session once it has been leased that many
-        points. *fleet* is the supervisor of this run's local sessions;
-        it is polled from this thread (respawning crashed and retired
-        sessions) while the run drains; once every session has exited
-        for good, the points still open fail. Returns the assembled
-        :class:`SweepReport` via ``state.finish()``. KeyboardInterrupt
-        aborts the run (report marked interrupted).
+        points. The local :attr:`fleet`, if any, is polled from this
+        thread (respawning crashed and retired sessions) while the run
+        drains; once every session has exited for good, the points still
+        open fail. Returns the assembled :class:`SweepReport` via
+        ``state.finish()``. KeyboardInterrupt aborts the run (report
+        marked interrupted).
         """
         self.start()
+        fleet = self.fleet
         with self._run_lock:
-            run = _Run(state, batch, recycle, fleet)
+            run = _Run(state, batch, recycle)
             asyncio.run_coroutine_threadsafe(
                 self._begin(run), self._loop
             ).result(timeout=30)
@@ -357,10 +373,13 @@ class Coordinator:
 
     async def _monitor(self) -> None:
         """Declare silent workers lost, time out silent leases, enforce
-        the sweep deadline."""
+        the sweep deadline, and respawn dead local sessions between
+        runs."""
         tick = max(0.25, min(1.0, self.hb_timeout / 4))
         while True:
             await asyncio.sleep(tick)
+            if self.fleet is not None:
+                self.fleet.poll()
             now = time.monotonic()
             run = self._run
             allowance = run.state.policy.allowance() if run is not None else None
@@ -398,6 +417,14 @@ class Coordinator:
                 self._settle, run,
             )
         self._settle(run)
+        parked, self._parked = self._parked, {}
+        for remote, msg in parked.values():
+            if self._workers.get(remote.worker_id) is not remote:
+                continue  # lost while an earlier grant was being sent
+            try:
+                await self._grant(remote, msg)
+            except Exception as exc:  # its connection died while parked
+                await self._lose_worker(remote, f"{type(exc).__name__}: {exc}")
 
     def _settle(self, run: _Run) -> None:
         """Apply the sweep deadline, then close the run if it is done."""
@@ -437,8 +464,9 @@ class Coordinator:
     def _enforce_deadline(self, run: _Run) -> None:
         """Past the sweep deadline, fail everything still open fast —
         queued points and unreported leased points alike. A session
-        still running one is stopped with the rest of the fleet (local)
-        or has its late outcomes ignored (remote)."""
+        still running one is SIGKILLed, so its supervisor respawns it
+        free for the next run (local), or has its late outcomes ignored
+        (remote)."""
         if run.done.is_set() or not run.state.deadline_expired():
             return
         for qp in run.pending:
@@ -446,9 +474,13 @@ class Coordinator:
         run.pending.clear()
         for remote in list(self._workers.values()):
             for lease in list(remote.leases.values()):
-                if lease.run is run:
-                    for index, point in lease.unreported():
-                        run.state.point_deadline(index, point)
+                if lease.run is not run:
+                    continue
+                unreported = lease.unreported()
+                for index, point in unreported:
+                    run.state.point_deadline(index, point)
+                if unreported and self.fleet is not None:
+                    self.fleet.kill(remote.caps.get("pid"))
 
     def _requeue(self, run: _Run, pairs, delay: float = 0.0) -> None:
         now = run.state.now()
@@ -588,6 +620,7 @@ class Coordinator:
         if self._workers.get(remote.worker_id) is not remote:
             return  # already reaped (monitor/EOF race)
         del self._workers[remote.worker_id]
+        self._parked.pop(remote.worker_id, None)
         if not clean:
             self._counters["workers_lost"] += 1
         for key, value in remote.counters.items():
@@ -601,8 +634,8 @@ class Coordinator:
                 slot=remote.slot,
                 reason=reason,
             )
-            if kind == "timeout" and run.fleet is not None:
-                run.fleet.kill(remote.caps.get("pid"))
+        if kind == "timeout" and self.fleet is not None:
+            self.fleet.kill(remote.caps.get("pid"))
         for lease in list(remote.leases.values()):
             lrun = lease.run
             if lrun is not self._run or lrun.done.is_set():
@@ -647,7 +680,7 @@ class Coordinator:
         if run is not None:
             self._settle(run)
         if run is None or run.done.is_set():
-            await self._idle(remote, IDLE_RETRY_MS * 2)
+            self._parked[remote.worker_id] = (remote, msg)
             return
         state = run.state
         if run.recycle and remote.dispatched >= run.recycle:
@@ -674,7 +707,7 @@ class Coordinator:
             touched = set().union(*(w.groups for w in self._workers.values()))
             # A local fleet is sized up front: size the first leases for
             # all of its sessions, not just the ones connected so far.
-            sessions = max(len(self._workers), run.fleet.jobs if run.fleet else 0)
+            sessions = max(len(self._workers), self.fleet.jobs if self.fleet else 0)
             take = pick_lease(
                 eligible, sessions, remote.groups, touched, run.batch
             )[: int(msg.get("max") or 0) or None]
@@ -820,7 +853,7 @@ class Coordinator:
         state = run.state
         result = result_from_wire(msg["result"])
         disk = get_disk_cache()
-        if disk is not None and run.fleet is None:
+        if disk is not None and self.fleet is None:
             # Persist like a locally executed point: --resume and the
             # service result cache must not care where a point ran.
             # (Local sessions already wrote to this very cache.)
@@ -1016,31 +1049,44 @@ def shutdown_coordinators() -> None:
         _coordinators.clear()
 
 
-def run_dist(state, url: str, batch: Optional[int] = None, recycle: int = 0):
-    """Engine entry point: drain *state* through the coordinator at *url*."""
-    return get_coordinator(url).execute(state, batch=batch, recycle=recycle)
+def run_dist(state, dispatch, batch: Optional[int] = None, recycle: int = 0):
+    """Engine entry point: drain *state* through *dispatch*, a
+    :class:`Coordinator` or the URL of a registry-held one."""
+    coord = (
+        dispatch if isinstance(dispatch, Coordinator) else get_coordinator(dispatch)
+    )
+    return coord.execute(state, batch=batch, recycle=recycle)
 
 
-def run_local(state, jobs: int, batch: Optional[int] = None, recycle: int = 0):
-    """Engine entry point for ``jobs > 1``: drain *state* through a
-    private loopback coordinator and up to *jobs* forked sessions that
-    share this process's disk cache. Every session is stopped and
-    reaped before this returns."""
+def local_coordinator(jobs: int) -> Coordinator:
+    """A private loopback coordinator that owns *jobs* forked sessions
+    sharing this process's disk cache; its ``stop()`` reaps them."""
     from .worker import Supervisor
 
     disk = get_disk_cache()
     coord = Coordinator().start()
-    fleet = Supervisor(
+    coord.fleet = Supervisor(
         coord.address,
-        min(jobs, len(state.pairs)),
+        jobs,
         "local",
         cache_root=str(disk.root) if disk is not None else None,
         cache_enabled=disk is not None,
         cache_shard=disk.shard if disk is not None else None,
     )
     try:
-        fleet.start()
-        return coord.execute(state, batch=batch, recycle=recycle, fleet=fleet)
+        coord.fleet.start()
+    except BaseException:
+        coord.stop()
+        raise
+    return coord
+
+
+def run_local(state, jobs: int, batch: Optional[int] = None, recycle: int = 0):
+    """Engine entry point for ``jobs > 1``: drain *state* through a
+    :func:`local_coordinator` of up to *jobs* sessions, stopped and
+    reaped before this returns."""
+    coord = local_coordinator(min(jobs, len(state.pairs)))
+    try:
+        return coord.execute(state, batch=batch, recycle=recycle)
     finally:
-        fleet.stop()
         coord.stop()

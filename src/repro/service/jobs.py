@@ -5,12 +5,15 @@ config × workload sweep grid (``POST /v1/sweep``). Jobs never execute
 anything themselves: every point is admitted into the single-flight
 table (:mod:`repro.service.coalesce`) under its content-hash cache key,
 and only flight *leaders* reach the execution queue. The executor loop
-drains that queue in batches through the engine —
-``run_points(strict=False)`` with the daemon's worker count, so a
-single-point batch runs in-process and a larger one on a session fleet
-started for that batch — so concurrent jobs share one pass over any
-shared points, and an injected worker crash surfaces as a classified
-per-point error in the job report instead of a dead daemon.
+drains that queue in batches, so concurrent jobs share one pass over
+any shared points. It answers a point the persistent cache holds itself
+(that check runs no simulation) and leases every other one — single
+points and deadlined batches included — onto the daemon's coordinator
+through ``run_points(strict=False, dispatch=...)``: the sessions that
+coordinator owns for the daemon's lifetime, or its ``--dist-listen``
+fleet. No point ever runs in the daemon's process, so an injected or
+real worker crash surfaces as a classified per-point error in the job
+report instead of a dead daemon.
 
 Admission control is two-layered and enforced before any state is
 created: a per-client token bucket (:mod:`repro.service.limits`) and a
@@ -286,11 +289,11 @@ class JobManager:
         store: Optional[JobStore] = None,
         breaker: Optional[PoisonBreaker] = None,
         job_ttl: float = 0.0,
-        dispatch: Optional[str] = None,
+        dispatch=None,
     ) -> None:
         self.worker_jobs = resolve_jobs(jobs)
-        #: "host:port" of a dist coordinator; when set, batches drain onto
-        #: the remote worker fleet instead of local sessions.
+        #: The :class:`~repro.dist.Coordinator` every batch is leased onto;
+        #: the daemon sets it to the one it owns before :meth:`start`.
         self.dispatch = dispatch
         self.queue_limit = int(queue_limit)
         self.batch_max = max(1, int(batch_max))
@@ -684,34 +687,53 @@ class JobManager:
                 poison_evidence=False,
             )
 
-    def _run_batch(self, flights, deadline: Optional[float] = None):
-        """Execute one batch through the engine (worker thread).
+    def _hop(self, key: str, outcome: PointOutcome) -> None:
+        """Resolve flight *key* on the event loop (from the executor)."""
+        try:
+            self._loop.call_soon_threadsafe(self._resolve_flight, key, outcome)
+        except RuntimeError:  # pragma: no cover - loop closed mid-drain
+            pass
 
-        The ``on_outcome`` hook hops each final outcome onto the event
-        loop as it streams in, so job event feeds update while the
-        batch is still running. *deadline* (shared by every flight in
-        the group) propagates into the engine's two-layer timeout
-        machinery: past it, running workers are killed and their points
+    def _run_batch(self, flights, deadline: Optional[float] = None):
+        """Execute one batch (executor thread); returns the flights leased
+        onto the fleet and their report (``None`` when none was).
+
+        A point the persistent cache holds is answered here, as
+        ``execute_point`` would: that check runs no simulation, and it
+        leaves a miss for the session that executes the point to count.
+        Every other point is leased onto :attr:`dispatch`. The
+        ``on_outcome`` hook hops each final outcome onto the event loop
+        as it streams in, so job event feeds update while the batch is
+        still running. *deadline* (shared by every flight in the group)
+        propagates into the engine's two-layer timeout machinery: past
+        it, sessions still running a point are killed and the point
         classified, queued points fail without dispatch.
         """
-        keys = [flight.key for flight in flights]
-
-        def hook(outcome: PointOutcome) -> None:
-            try:
-                self._loop.call_soon_threadsafe(
-                    self._resolve_flight, keys[outcome.index], outcome
-                )
-            except RuntimeError:  # pragma: no cover - loop closed mid-drain
-                pass
-
-        return run_points(
-            [flight.point for flight in flights],
-            jobs=self.worker_jobs,
+        disk = get_disk_cache()
+        leased = []
+        for index, flight in enumerate(flights):
+            t0 = time.monotonic()
+            result = (
+                disk.load_result(flight.key, count_miss=False)
+                if disk is not None else None
+            )
+            if result is None:
+                leased.append(flight)
+                continue
+            self._hop(flight.key, PointOutcome(
+                index=index, point=flight.point, result=result, attempts=1,
+                duration=time.monotonic() - t0,
+            ))
+        if not leased:
+            return leased, None
+        keys = [flight.key for flight in leased]
+        return leased, run_points(
+            [flight.point for flight in leased],
             strict=False,
             policy=self.policy,
             batch=self.batch,
             recycle=self.recycle,
-            on_outcome=hook,
+            on_outcome=lambda outcome: self._hop(keys[outcome.index], outcome),
             deadline=deadline,
             dispatch=self.dispatch,
         )
@@ -756,7 +778,7 @@ class JobManager:
                 for deadline, flights in groups.items():
                     self._inflight = len(flights)
                     try:
-                        report = await self._loop.run_in_executor(
+                        leased, report = await self._loop.run_in_executor(
                             self._pool, self._run_batch, flights, deadline
                         )
                     except Exception as exc:
@@ -766,10 +788,12 @@ class JobManager:
                         self._inflight = 0
                         self.last_heartbeat = time.time()
                     self.metrics.bump("batches")
+                    if report is None:
+                        continue
                     self.metrics.fold_resilience(report.counters)
                     # Safety net: resolve anything the streaming hook
                     # missed (it is best-effort by design).
-                    for flight, outcome in zip(flights, report.outcomes):
+                    for flight, outcome in zip(leased, report.outcomes):
                         self._resolve_flight(flight.key, outcome)
                 await self._maybe_prune()
             if self.draining:

@@ -1,6 +1,6 @@
 """Service-level metrics: own counters plus engine/cache rollups.
 
-``/v1/metrics`` renders three groups:
+``/v1/metrics`` renders four groups:
 
 * ``service`` — the daemon's own counters (jobs admitted/rejected,
   points requested/executed/coalesced, batches, drain state);
@@ -9,7 +9,9 @@
   worker crashes, timeouts, ...), i.e. the chaos ledger of everything
   the engine absorbed on the service's behalf;
 * ``cache`` — the live :class:`~repro.core.exec.diskcache.DiskCache`
-  hit/miss/eviction counters.
+  hit/miss/eviction counters;
+* ``dist`` — the fleet counters of the daemon's coordinator (local
+  sessions or a ``--dist-listen`` fleet alike).
 
 All mutation happens on the event-loop thread.
 """
@@ -69,9 +71,8 @@ class ServiceMetrics:
     ) -> dict:
         """Metrics document. *dist_counters* (the coordinator's fleet
         snapshot: workers live/lost, steals, shard bytes, fetch cache
-        hits, ...) adds a ``dist`` group — present only when the daemon
-        runs with ``--dist-listen``, so local-only deployments keep the
-        historical shape byte-for-byte."""
+        hits, ...) adds a ``dist`` group; a serving daemon always has
+        one."""
         doc = {
             "schema": 1,
             "uptime_s": round(time.time() - self.started, 3),

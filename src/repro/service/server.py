@@ -18,16 +18,20 @@ Routes (see ``docs/service.md`` for the full API reference)::
     GET  /v1/healthz/ready    readiness probe (503 draining/degraded/dead)
     GET  /v1/metrics          service + resilience + cache counters
 
+Every point the result cache cannot answer runs on the one coordinator
+the daemon owns for its lifetime: a loopback one with ``--jobs`` forked
+local sessions, or the ``--dist-listen`` one remote workers connect to.
 Submissions may carry a deadline (``X-Deadline-Ms`` header or a
-``timeout_s`` spec field) that propagates into the engine. On startup
-the daemon replays its write-ahead job store
+``timeout_s`` spec field) that propagates into the engine. On startup,
+once the coordinator is up, the daemon replays its write-ahead job store
 (:mod:`repro.service.store`): finished pre-crash jobs are served from
 the journal, unfinished ones are re-admitted through the normal
 executor path and marked ``recovered``.
 
 SIGTERM/SIGINT trigger a graceful drain: new submissions get ``503``,
 queued and in-flight points finish (their results are already in the
-disk cache for the next process), then the listener closes.
+disk cache for the next process), then the listener closes and the
+coordinator stops with its sessions.
 """
 
 from __future__ import annotations
@@ -78,8 +82,9 @@ class ServiceConfig:
     job_ttl: float = 0.0  # evict finished jobs after N seconds; 0 = never
     breaker_threshold: int = 3  # crash/timeout outcomes before tripping
     breaker_cooldown: float = 60.0  # seconds open before a half-open trial
-    #: Host a dist coordinator at "host:port" and drain sweep flights
-    #: onto connected `repro-sim worker` fleets (docs/distributed.md).
+    #: Host the daemon's coordinator at "host:port" for connected
+    #: `repro-sim worker` fleets instead of forking `jobs` local sessions
+    #: (docs/distributed.md).
     dist_listen: Optional[str] = None
 
 
@@ -118,7 +123,9 @@ class Service:
             ),
             job_ttl=self.config.job_ttl,
         )
-        self.coordinator = None  # dist coordinator when --dist-listen is set
+        #: The coordinator every batch is leased onto, owned from the
+        #: start of :meth:`run` until the drain stops it.
+        self.coordinator = None
         self.port: Optional[int] = None
         self.aborted_on_drain = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -130,23 +137,10 @@ class Service:
         """Serve until drained; returns the process exit code."""
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
-        if self.config.dist_listen:
-            # Start the coordinator before the executor/recovery so even
-            # recovered jobs' batches drain onto the remote fleet.
-            from repro.dist import get_coordinator
-
-            self.coordinator = get_coordinator(self.config.dist_listen)
-            self.manager.dispatch = (
-                f"{self.coordinator.host}:{self.coordinator.port}"
-            )
-            if not self.quiet:
-                print(
-                    f"repro-sim serve: dist coordinator listening on "
-                    f"tcp://{self.coordinator.address} "
-                    f"({self.coordinator.workers_live()} worker(s) "
-                    f"connected)",
-                    flush=True,
-                )
+        # The fleet comes up before the executor and recovery, so even
+        # recovered jobs' batches lease onto it.
+        self.coordinator = self._start_coordinator()
+        self.manager.dispatch = self.coordinator
         self.manager.start()
         self._recover_jobs()
         server = await asyncio.start_server(
@@ -180,16 +174,30 @@ class Service:
         server.close()
         await server.wait_closed()
         self.manager.shutdown()
-        if self.coordinator is not None:
-            from repro.dist import shutdown_coordinators
-
-            await asyncio.get_running_loop().run_in_executor(
-                None, shutdown_coordinators
-            )
-            self.coordinator = None
+        # Stop only what this daemon started: its coordinator and its
+        # sessions, never another coordinator in the process.
+        await self._loop.run_in_executor(None, self.coordinator.stop)
         if not self.quiet:
             print("repro-sim serve: drained, bye", flush=True)
         return 0 if drained else 1
+
+    def _start_coordinator(self):
+        """The daemon's coordinator: the ``--dist-listen`` one, or a
+        loopback one owning ``--jobs`` forked local sessions."""
+        from repro.dist import Coordinator, local_coordinator, parse_dist_url
+
+        if not self.config.dist_listen:
+            return local_coordinator(self.manager.worker_jobs)
+        coordinator = Coordinator(*parse_dist_url(self.config.dist_listen))
+        coordinator.start()
+        if not self.quiet:
+            print(
+                f"repro-sim serve: dist coordinator listening on "
+                f"tcp://{coordinator.address} "
+                f"({coordinator.workers_live()} worker(s) connected)",
+                flush=True,
+            )
+        return coordinator
 
     def request_drain(self) -> None:
         """Begin graceful shutdown (call on the event-loop thread)."""
@@ -609,11 +617,7 @@ class Service:
             }
         return self.metrics.snapshot(
             disk.snapshot() if disk is not None else None,
-            dist_counters=(
-                self.coordinator.counters()
-                if self.coordinator is not None
-                else None
-            ),
+            dist_counters=self.coordinator.counters(),
             queue_depth=manager.queue_depth,
             jobs_active=manager.active_jobs,
             flights_inflight=len(manager.singleflight),

@@ -3,6 +3,8 @@
 import json
 import multiprocessing as mp
 import os
+import sys
+import threading
 import time
 
 from repro.core.exec import DiskCache
@@ -104,3 +106,34 @@ def test_concurrent_writers_never_expose_torn_entry(tmp_path):
         assert w.exitcode == 0
     assert parses > 0  # the race was actually observed
     assert cache.load_result(key) is not None
+
+
+def test_counters_survive_concurrent_hits_and_merges(tmp_path):
+    """The service daemon counts its own cache hits on one thread while
+    its coordinator folds session counters in on another: no update may
+    be lost."""
+    cache = DiskCache(tmp_path)
+    cache.store_result("k1", _result())
+    rounds = 400
+
+    def hits():
+        for _ in range(rounds):
+            assert cache.load_result("k1") is not None
+
+    def merges():
+        for _ in range(rounds):
+            cache.merge_counters({"result_hits": 1, "result_misses": 1})
+
+    workers = [threading.Thread(target=f) for f in (hits, merges) * 2]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(worker.is_alive() for worker in workers)
+    assert cache.counters["result_hits"] == 4 * rounds
+    assert cache.counters["result_misses"] == 2 * rounds

@@ -385,10 +385,11 @@ def test_run_ends_when_every_local_session_is_gone(coordinator):
     run, so its open points fail instead of the call waiting forever."""
     points = _points()[:2]
     fleet = Supervisor("127.0.0.1:1", 2, "lost", retry_window=0.2).start()
+    coordinator.fleet = fleet
     try:
         t0 = time.monotonic()
         report = coordinator.execute(
-            _SweepState(points, DEFAULT_POLICY, None, False), fleet=fleet
+            _SweepState(points, DEFAULT_POLICY, None, False)
         )
     finally:
         fleet.stop()

@@ -103,9 +103,10 @@ class Daemon:
         raise AssertionError(f"job {job_id} still running after {timeout}s")
 
     def wait_batches(self, n, timeout=60):
-        """Metrics doc once >= *n* batches completed (worker cache
-        counters merge into the parent when a batch's run_points
-        returns, which is strictly before the ``batches`` bump)."""
+        """Metrics doc once >= *n* batches completed (session cache
+        counters reach the daemon with their outcome frames, before the
+        batch's run_points returns and so strictly before the
+        ``batches`` bump)."""
         deadline = time.monotonic() + timeout
         while time.monotonic() < deadline:
             status, doc, _ = self.request("GET", "/v1/metrics")
