@@ -11,7 +11,8 @@ tick — except the "tick" here is the whole cycle loop:
    (PC-gen/BTB access, FTQ push, FDIP prefetch, fetch, backend admit,
    d-side memory, obs probe) with dead components marked, plus every
    structural constant (masks, latencies, predictor geometry) hoisted
-   out of the hardware objects the config would build.
+   out of the BTB, predictors and backend the config would build (the
+   memory hierarchy's are read off the live one at run time).
 2. :class:`~repro.core.passes.schedule.SchedulePass` topologically
    sorts the live components into the static per-cycle order.
 3. :class:`~repro.core.passes.codegen.CodegenPass` walks the schedule
@@ -22,14 +23,16 @@ tick — except the "tick" here is the whole cycle loop:
    caches the kernel by config content-hash.
 
 This is the one fast engine; the interpreter stays as the executable
-specification. The kernel reads the branch predictors' decisions from a
-shared :class:`~repro.trace.columnar.BatchPlan` (one per trace and
-predictor geometry) and *reuses the reference hardware state objects*
-for everything else (BTB stores, caches, backend rings), inlining only
+specification. The kernel reads the branch predictors' decisions, the
+DTLB's misses and the stride prefetcher's requests from a shared
+:class:`~repro.trace.columnar.BatchPlan` (one per trace and predictor
+geometry) and *reuses the reference hardware state objects* for
+everything else (BTB stores, caches, backend rings), inlining only
 their hot paths; rare mutations (allocate, L2 promote, split, pull) call
-the reference methods on the same objects, so results are bit-identical
-to the interpreter by construction — and the differential golden tests
-(tests/kernel/) verify it.
+the reference methods on the same objects, and memory misses run
+:mod:`~repro.core.passes.misspath`'s flat paths on the same state, so
+results are bit-identical to the interpreter by construction — and the
+differential golden tests (tests/kernel/) verify it.
 """
 
 from repro.core.passes.dag import GenDAGPass, KernelPlan

@@ -5,6 +5,8 @@ The generated function reproduces :meth:`Simulator.run` exactly for one
 generation time:
 
 * config values are literals (masks, latencies, widths, thresholds);
+  the memory hierarchy's are locals read off ``sim.memory``, so any
+  hierarchy geometry runs on one kernel;
 * attribute lookups are flattened to locals bound once in the prelude;
 * the probe, the L2 BTB level (ideal configs), the R-BTB overflow pool,
   the d-side memory (ideal backend) and other dead components emit no
@@ -25,12 +27,14 @@ Bit-identity strategy: the kernel operates on the *same hardware state
 objects* the interpreter would use (``sim.btb``, ``sim.memory``,
 ``sim.backend``). Hot paths are inlined against their internals
 (set-dicts, ring buffers); rare paths (allocate, L2 promote,
-split/pull, cache miss) call the reference methods on those objects.
-Inlined fast paths are written so that a fall-through to the reference
-method re-executes only side-effect-free probes (a failed ``dict.get``
-has no LRU effect), which keeps LRU tick sequencing and replacement
-decisions identical to the interpreter. The predictor objects on
-``sim.engine`` are never touched: their evolution lives in the plan.
+split/pull) call the reference methods on those objects, and memory
+misses run the flat miss paths of :mod:`repro.core.passes.misspath` on
+the same state. Inlined fast paths are written so that a fall-through
+to a slow path re-executes only side-effect-free probes (a failed
+``dict.get`` has no LRU effect), which keeps LRU tick sequencing and
+replacement decisions identical to the interpreter. The predictor
+objects on ``sim.engine``, the DTLB and the stride prefetcher's table
+are never touched: their evolution lives in the plan.
 """
 
 from __future__ import annotations
@@ -197,22 +201,23 @@ class CodegenPass:
             w.line("bb_train = btb._train_branch")
         elif kind == "mbbtb":
             w.lines("mb_train = btb._train_branch", "mb_update = btb._update_slot")
-        # Memory internals (always present in kernel runs).
+        # Memory internals (always present in kernel runs). Geometry and
+        # latencies are read off the live hierarchy, so a hand-built one
+        # runs here too; its slow paths are the flat miss paths.
         w.lines(
             "mem = sim.memory",
             "itlb_arr = mem.itlb.array",
             "itlb_sets = itlb_arr._sets",
-            "itlb_translate = mem.itlb.translate",
+            "itlb_mask = itlb_arr.sets - 1",
+            "itlb_lat = mem.itlb.latency",
             "l1i = mem.l1i",
             "l1i_arr = l1i.array",
             "l1i_sets = l1i_arr._sets",
+            "l1i_mask = l1i_arr.sets - 1",
+            "l1i_lat = l1i.latency",
             "l1i_pending = l1i._pending",
-            "l1i_access = l1i.access",
-            "l1i_prefetch = l1i.prefetch",
-            f"if (l1i_arr.sets != {p.l1i_set_mask + 1} or l1i.latency != {p.l1i_latency}"
-            f" or itlb_arr.sets != {p.itlb_set_mask + 1}"
-            f" or mem.itlb.latency != {p.itlb_latency}):",
-            "    raise RuntimeError(\"kernel/config mismatch: memory\")",
+            "l1d_miss, l1d_prefetch, l1i_miss, l1i_prefetch, l2tlb, itlb_miss"
+            " = miss_paths(mem)",
         )
         # Backend internals.
         w.line("backend = sim.backend")
@@ -238,24 +243,25 @@ class CodegenPass:
                 f" or len(fq_ring) != {p.bk_fq} or len(load_ring) != {p.bk_load_ports}"
                 f" or len(store_ring) != {p.bk_store_ports}):",
                 "    raise RuntimeError(\"kernel/config mismatch: backend\")",
-                # d-side memory (live only with the OoO backend)
-                "dtlb_arr = mem.dtlb.array",
-                "dtlb_sets = dtlb_arr._sets",
-                "dtlb_translate = mem.dtlb.translate",
+                # d-side memory (live only with the OoO backend). The
+                # plan's columns stand in for the DTLB and the stride
+                # table, which the run leaves untouched; ``dlive`` is the
+                # stride table the run keeps itself from the first merge
+                # on (see _emit_dside).
                 "l1d = mem.l1d",
                 "l1d_arr = l1d.array",
                 "l1d_sets = l1d_arr._sets",
+                "l1d_mask = l1d_arr.sets - 1",
+                "l1d_lat = l1d.latency",
                 "l1d_pending = l1d._pending",
-                "l1d_access = l1d.access",
-                "l1d_prefetch = l1d.prefetch",
+                "dtlb_lat = mem.dtlb.latency",
                 "dstride = mem.dstride",
-                "dstab = dstride._table",
-                f"if (l1d_arr.sets != {p.l1d_set_mask + 1} or l1d.latency != {p.l1d_latency}"
-                f" or dtlb_arr.sets != {p.dtlb_set_mask + 1}"
-                f" or mem.dtlb.latency != {p.dtlb_latency}"
-                f" or dstride.table_entries != {p.dstride_entries}"
-                f" or dstride.degree != {p.dstride_degree}):",
-                "    raise RuntimeError(\"kernel/config mismatch: memory\")",
+                "dstride_n = dstride.table_entries",
+                "dstride_deg = range(dstride.degree)",
+                "dtlb_miss, dstrides = data_columns(bplan, mem.dtlb, dstride, tr)",
+                "dk = 0",
+                "dlive = None",
+                "dmerge = -1",
             )
         # Per-run queues and loop state.
         w.lines(
@@ -703,19 +709,17 @@ class CodegenPass:
 
     def _emit_fdip_prefetch(self, w: _Writer, line_var: str) -> None:
         """Inline MemoryHierarchy.ifetch_prefetch (ITLB warm + L1I pf)."""
-        p = self.plan
-        w.line(f"la = {line_var} << 6")
-        w.line("pg = la >> 12")
-        w.line(f"pe = itlb_sets[pg & {p.itlb_set_mask}].get(pg)")
+        w.line(f"pg = {line_var} >> 6")
+        w.line("pe = itlb_sets[pg & itlb_mask].get(pg)")
         with w.block("if pe is not None:"):
             w.lines("itlb_arr._tick = ptt = itlb_arr._tick + 1", "pe[1] = ptt")
         with w.block("else:"):
-            w.line("itlb_translate(la, cycle)")
+            w.line("itlb_miss(pg, cycle)")
         with w.block(
-            f"if {line_var} not in l1i_sets[{line_var} & {p.l1i_set_mask}] "
+            f"if {line_var} not in l1i_sets[{line_var} & l1i_mask] "
             f"and {line_var} not in l1i_pending:"
         ):
-            w.line("l1i_prefetch(la, cycle)")
+            w.line(f"l1i_prefetch({line_var}, cycle)")
 
     def emit_access_commit(self, w: _Writer) -> None:
         """Consume one Access: stats, line segmentation, FTQ pushes,
@@ -755,10 +759,8 @@ class CodegenPass:
 
     def _emit_ifetch(self, w: _Writer) -> None:
         """Inline MemoryHierarchy.ifetch -> avail for head line hline."""
-        p = self.plan
-        w.line("la = hline << 6")
-        w.line("pg = la >> 12")
-        w.line(f"pe = itlb_sets[pg & {p.itlb_set_mask}].get(pg)")
+        w.line("pg = hline >> 6")
+        w.line("pe = itlb_sets[pg & itlb_mask].get(pg)")
         with w.block("if pe is not None:"):
             w.lines(
                 "itlb_arr._tick = ptt = itlb_arr._tick + 1",
@@ -766,87 +768,71 @@ class CodegenPass:
                 "tlb_done = cycle",
             )
         with w.block("else:"):
-            w.line(f"tlb_done = itlb_translate(la, cycle) - {p.itlb_latency}")
-        w.line(f"ce = l1i_sets[hline & {p.l1i_set_mask}].get(hline)")
+            w.line("tlb_done = itlb_miss(pg, cycle) - itlb_lat")
+        w.line("ce = l1i_sets[hline & l1i_mask].get(hline)")
         with w.block("if ce is not None:"):
             w.lines(
                 "l1i_arr._tick = ctt = l1i_arr._tick + 1",
                 "ce[1] = ctt",
                 "hr = ce[0]",
-                f"data_done = cycle if hr <= cycle else hr - {p.l1i_latency}",
+                "data_done = cycle if hr <= cycle else hr - l1i_lat",
             )
         with w.block("else:"):
-            w.line(f"data_done = l1i_access(la, cycle) - {p.l1i_latency}")
+            w.line("data_done = l1i_miss(hline, cycle) - l1i_lat")
         w.line("avail = tlb_done if tlb_done > data_done else data_done")
         with w.block("if avail < cycle:"):
             w.line("avail = cycle")
 
-    def _emit_dstride(self, w: _Writer, addr: str, cycle_var: str) -> None:
-        """Inline IPStridePrefetcher.on_access for an L1D hit."""
-        p = self.plan
-        w.line("pcj = pcs[j2]")
-        w.line("ds = dstab.get(pcj)")
-        with w.block("if ds is None:"):
-            with w.block(f"if len(dstab) >= {p.dstride_entries}:"):
-                w.line("del dstab[next(iter(dstab))]")
-            w.line(f"dstab[pcj] = ({addr}, 0, 0)")
-        with w.block("else:"):
-            w.lines("pla, pls, pcf = ds", f"stride = {addr} - pla")
-            with w.block("if stride != 0 and stride == pls:"):
-                with w.block("if pcf < 3:"):
-                    w.line("pcf += 1")
-            with w.block("else:"):
-                with w.block("if pcf > 0:"):
-                    w.line("pcf -= 1")
-            w.line(f"dstab[pcj] = ({addr}, stride, pcf)")
-            with w.block("if pcf >= 2 and stride != 0:"):
-                for d in range(1, p.dstride_degree + 1):
-                    mult = "stride" if d == 1 else f"stride * {d}"
-                    w.line(f"pfa = {addr} + {mult}")
-                    w.line("pfl = pfa >> 6")
-                    with w.block(
-                        f"if pfl not in l1d_sets[pfl & {p.l1d_set_mask}] "
-                        "and pfl not in l1d_pending:"
-                    ):
-                        w.line(f"l1d_prefetch(pfa, {cycle_var})")
+    def _emit_dside(self, w: _Writer, out: Optional[str]) -> None:
+        """Inline MemoryHierarchy.load/store of ``a`` at ``issue``; a
+        load leaves its data-ready cycle in *out*.
 
-    def _emit_l1d_access(self, w: _Writer, addr: str, cycle_var: str, out: Optional[str]) -> None:
-        """Inline Cache.access on the L1D (hit fast path + prefetcher)."""
-        p = self.plan
-        w.line(f"aline = {addr} >> 6")
-        w.line(f"le = l1d_sets[aline & {p.l1d_set_mask}].get(aline)")
+        The DTLB's hit/miss and the stride each access prefetches along
+        come from the plan (``dk`` counts the run's loads and stores);
+        a DTLB miss still walks the shared L2 TLB. The L1D hit is
+        inlined, a miss takes the flat path. The stride column is exact
+        until an L1D miss merges with the in-flight fill of an evicted
+        line (the line stays absent): ``Cache.access`` returns before
+        the prefetcher's hook there, so from that access on the run
+        keeps its own table, rebuilt by replaying the earlier accesses.
+        """
+        w.line("a = maddrs[j2]")
+        with w.block("if dtlb_miss[dk]:"):
+            if out:
+                w.line("tlb_done = l2tlb(a >> 12, issue + dtlb_lat)")
+            else:
+                w.line("l2tlb(a >> 12, issue + dtlb_lat)")
+        if out:
+            with w.block("else:"):
+                w.line("tlb_done = issue + dtlb_lat")
+        w.line("aline = a >> 6")
+        w.line("le = l1d_sets[aline & l1d_mask].get(aline)")
         with w.block("if le is not None:"):
-            w.lines(
-                "l1d_arr._tick = ldt = l1d_arr._tick + 1",
-                "le[1] = ldt",
-            )
+            w.lines("l1d_arr._tick = ldt = l1d_arr._tick + 1", "le[1] = ldt")
             if out:
                 w.line("hr = le[0]")
-                w.line(
-                    f"{out} = {cycle_var} + {p.l1d_latency} "
-                    f"if hr <= {cycle_var} else hr"
-                )
-            self._emit_dstride(w, addr, cycle_var)
+                w.line(f"{out} = issue + l1d_lat if hr <= issue else hr")
         with w.block("else:"):
-            w.line("dstride._pc = pcs[j2]")
-            if out:
-                w.line(f"{out} = l1d_access({addr}, {cycle_var})")
-            else:
-                w.line(f"l1d_access({addr}, {cycle_var})")
-
-    def _emit_dtlb(self, w: _Writer, addr: str, cycle_var: str, out: Optional[str]) -> None:
-        p = self.plan
-        w.line(f"pg = {addr} >> 12")
-        w.line(f"de = dtlb_sets[pg & {p.dtlb_set_mask}].get(pg)")
-        with w.block("if de is not None:"):
-            w.lines("dtlb_arr._tick = dtt = dtlb_arr._tick + 1", "de[1] = dtt")
-            if out:
-                w.line(f"{out} = {cycle_var} + {p.dtlb_latency}")
+            w.line(f"{out} = l1d_miss(aline, issue)" if out else "l1d_miss(aline, issue)")
+            with w.block("if aline not in l1d_sets[aline & l1d_mask]:"):
+                w.line("dmerge = dk")
+                with w.block("if dlive is None:"):
+                    w.line("dlive = stride_table(tr, dstride, dk)")
+        with w.block("if dlive is None:"):
+            w.line("sd = dstrides[dk]")
+        with w.block("elif dmerge == dk:"):
+            w.line("sd = 0")
         with w.block("else:"):
-            if out:
-                w.line(f"{out} = dtlb_translate({addr}, {cycle_var})")
-            else:
-                w.line(f"dtlb_translate({addr}, {cycle_var})")
+            w.line("sd = stride_step(dlive, dstride_n, pcs[j2], a)")
+        with w.block("if sd:"):
+            w.line("pfa = a")
+            with w.block("for _ in dstride_deg:"):
+                w.lines("pfa += sd", "pfl = pfa >> 6")
+                with w.block(
+                    "if pfl not in l1d_sets[pfl & l1d_mask] and pfl not in l1d_pending:"
+                ):
+                    w.line("l1d_prefetch(pfl, issue)")
+        w.line("dk += 1")
 
     def _emit_admit_ooo(self, w: _Writer) -> None:
         p = self.plan
@@ -877,10 +863,7 @@ class CodegenPass:
             w.line("issue = ready if ready > lr else lr")
             w.line("load_ring[lslot] = issue")
             w.line("nloads += 1")
-            # memory.load inline
-            w.line("a = maddrs[j2]")
-            self._emit_dtlb(w, "a", "issue", "tlb_done")
-            self._emit_l1d_access(w, "a", "issue", "data_done")
+            self._emit_dside(w, "data_done")
             w.line("complete = tlb_done if tlb_done > data_done else data_done")
         with w.block("elif stores_col[j2]:"):
             w.line(f"sslot = nstores % {p.bk_store_ports}")
@@ -888,10 +871,7 @@ class CodegenPass:
             w.line("issue = ready if ready > sr else sr")
             w.line("store_ring[sslot] = issue")
             w.line("nstores += 1")
-            # memory.store inline
-            w.line("a = maddrs[j2]")
-            self._emit_dtlb(w, "a", "issue", None)
-            self._emit_l1d_access(w, "a", "issue", None)
+            self._emit_dside(w, None)
             w.line("complete = issue + 1")
         if p.bk_branch_latency == p.bk_alu_latency:
             with w.block("else:"):

@@ -1,12 +1,14 @@
 """GenDAGPass: elaborate a MachineConfig into a kernel plan.
 
-The pass instantiates the same hardware objects ``build_simulator``
-would create (throwaway copies), reads every structural constant the
-generated code needs (set masks, index shifts, predictor geometry,
-latencies, ring sizes), and builds the component dependency DAG from
-the port declarations in :mod:`repro.core.passes.components`. Reading constants
-off real objects instead of re-deriving them keeps the codegen immune
-to drift in the sizing formulas.
+The pass instantiates the same BTB, prediction engine and backend
+``build_simulator`` would create (throwaway copies), reads every
+structural constant the generated code needs (set masks, index shifts,
+predictor geometry, latencies, ring sizes), and builds the component
+dependency DAG from the port declarations in
+:mod:`repro.core.passes.components`. Reading constants off real objects
+instead of re-deriving them keeps the codegen immune to drift in the
+sizing formulas. The memory hierarchy is not among them: the kernel
+reads its geometry and latencies off ``sim.memory`` at run time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from repro.core.passes.components import (
 )
 from repro.core.simulator import FrontendConfig, LINE_AVAIL_ENTRIES
 from repro.frontend.engine import PredictionEngine
-from repro.memory.hierarchy import MemoryConfig, MemoryHierarchy
 
 
 @dataclass
@@ -64,17 +65,6 @@ class KernelPlan:
     bk_branch_latency: int = 1
     bk_alu_latency: int = 1
     bk_window: int = 8192
-    # -- memory ----------------------------------------------------------
-    l1i_set_mask: int = 0
-    l1i_latency: int = 3
-    itlb_set_mask: int = 0
-    itlb_latency: int = 1
-    l1d_set_mask: int = 0
-    l1d_latency: int = 5
-    dtlb_set_mask: int = 0
-    dtlb_latency: int = 1
-    dstride_entries: int = 256
-    dstride_degree: int = 2
 
 
 class GenDAGPass:
@@ -83,7 +73,6 @@ class GenDAGPass:
     def __call__(self, config) -> KernelPlan:
         btb = config.build_btb()
         engine = PredictionEngine(bp_size_kb=config.bp_size_kb)
-        mem = MemoryHierarchy(MemoryConfig(scale=config.scale))
         backend = IdealBackend() if config.ideal_backend else OoOBackend()
         fe = FrontendConfig(early_resteer=config.early_resteer)
 
@@ -108,16 +97,6 @@ class GenDAGPass:
             decode_depth=fe.decode_depth,
             early_resteer=fe.early_resteer,
             ideal_backend=config.ideal_backend,
-            l1i_set_mask=mem.l1i.array.sets - 1,
-            l1i_latency=mem.l1i.latency,
-            itlb_set_mask=mem.itlb.array.sets - 1,
-            itlb_latency=mem.itlb.latency,
-            l1d_set_mask=mem.l1d.array.sets - 1,
-            l1d_latency=mem.l1d.latency,
-            dtlb_set_mask=mem.dtlb.array.sets - 1,
-            dtlb_latency=mem.dtlb.latency,
-            dstride_entries=mem.dstride.table_entries,
-            dstride_degree=mem.dstride.degree,
         )
         if config.btb_kind == "rbtb":
             plan.rb_overflow_bubble = btb.overflow_bubble

@@ -171,12 +171,18 @@ def batch_geometry(config):
 def _exec_namespace() -> Dict[str, object]:
     # Imported here (not at module top) to avoid a circular import:
     # repro.core.simulator lazily imports this package for dispatch.
+    from repro.core.passes.misspath import miss_paths
     from repro.core.simulator import SimResult
+    from repro.trace.columnar import data_columns, stride_step, stride_table
 
     return {
         "SimResult": SimResult,
         "deque": deque,
         "OrderedDict": OrderedDict,
+        "miss_paths": miss_paths,
+        "data_columns": data_columns,
+        "stride_step": stride_step,
+        "stride_table": stride_table,
     }
 
 

@@ -141,18 +141,20 @@ class Simulator:
 
         The plan-consuming kernel needs the elaborating config (for the
         pass pipeline), an uninstrumented run (probe call sites are
-        elided, not guarded), the stock frontend/backend/memory shapes,
-        and a fresh stats bag (the interpreter's warm-snapshot
-        subtraction and the kernel's local counters only agree from
-        zero). Anything else falls back to the reference interpreter —
-        bit-identical, slower.
+        elided, not guarded), the stock frontend/backend shapes, a
+        memory hierarchy wired the stock way (any geometry: the kernel
+        reads it at run time) that an OoO backend loads through, and a
+        fresh stats bag (the interpreter's warm-snapshot subtraction and
+        the kernel's local counters only agree from zero). Anything else
+        falls back to the reference interpreter — bit-identical, slower.
         """
         # Imported lazily: repro.core.passes.dag imports this module.
         from repro.core.passes.kernel import kernel_mode, supports
+        from repro.core.passes.misspath import supports as memory_supported
 
         if kernel_mode() == "interp" or not supports(self.config):
             return "interp"
-        if self.probe.enabled or self.memory is None:
+        if self.probe.enabled or not memory_supported(self.memory):
             return "interp"
         if self.fe != FrontendConfig(early_resteer=self.config.early_resteer):
             return "interp"
@@ -160,6 +162,8 @@ class Simulator:
 
         expected = IdealBackend if self.config.ideal_backend else OoOBackend
         if type(self.backend) is not expected:
+            return "interp"
+        if expected is OoOBackend and self.backend.memory is not self.memory:
             return "interp"
         if self.stats._counters:
             return "interp"

@@ -32,6 +32,15 @@ This module pays those costs once per workload:
   kernels consuming the plan stay bit-identical to the interpreter
   (enforced by differential goldens in ``tests/kernel/``).
 
+* :func:`build_data_plan` replays the two d-side structures whose
+  evolution depends on the load/store stream alone, in program order:
+  the DTLB (``TLB.translate`` reads no cycle, and only loads and stores
+  touch it) and the L1D's IP-stride prefetcher table. It records, per
+  load or store, ``dtlb_miss`` (the DTLB missed: the kernel calls the
+  shared L2 TLB, whose state the ITLB also moves) and ``dstride`` (the
+  stride the prefetcher fetches ``degree`` lines along, 0 when it
+  fetches nothing).
+
 Plans are cached on disk as ``.npz`` through the :class:`DiskCache`
 ``plans`` tier, keyed by trace content hash (and predictor geometry for
 :class:`PredictorPlan`), and pruned by ``repro-sim corpus gc`` when the
@@ -41,7 +50,8 @@ backing corpus entry disappears.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import getitem
+from itertools import compress
+from operator import getitem, or_
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -49,6 +59,9 @@ import numpy as np
 from repro.branch.indirect import IndirectPredictor
 from repro.branch.perceptron import HISTORY_LENGTHS
 from repro.common.types import ILEN, LINE_BYTES
+from repro.memory.hierarchy import MemoryConfig
+from repro.memory.prefetch import IPStridePrefetcher
+from repro.memory.tlb import PAGE_BYTES
 
 #: Version of the columnar/predictor-plan layout *and* of the replica
 #: semantics. Bump whenever the derivation or the prediction engine
@@ -289,31 +302,158 @@ def build_predictor_plan(col: ColumnarTrace,
 
 
 # ---------------------------------------------------------------------------
+# Data-side plan: DTLB misses and IP-stride prefetches per load and store
+# ---------------------------------------------------------------------------
+
+#: ``(DTLB sets, DTLB ways, stride-table entries)`` of every hierarchy a
+#: ``MachineConfig`` builds (``scale`` shrinks only the instruction side),
+#: so the data-side columns need no key of their own.
+DATA_GEOMETRY = (MemoryConfig.dtlb_sets, MemoryConfig.dtlb_ways,
+                 IPStridePrefetcher().table_entries)
+
+
+def data_accesses(trace) -> Tuple[List[int], List[int]]:
+    """PCs and addresses of *trace*'s loads and stores, in program order
+    (the order the back end admits them, and so the order they reach
+    the DTLB and the stride prefetcher)."""
+    mem_op = list(map(or_, trace.is_load, trace.is_store))
+    return list(compress(trace.pc, mem_op)), list(compress(trace.maddr, mem_op))
+
+
+def stride_step(table: Dict, entries: int, pc: int, addr: int) -> int:
+    """``IPStridePrefetcher.on_access`` on *table*: the stride the access
+    prefetches along, else 0. (:func:`build_data_plan` inlines it.)"""
+    state = table.get(pc)
+    if state is None:
+        if len(table) >= entries:
+            del table[next(iter(table))]
+        table[pc] = (addr, 0, 0)
+        return 0
+    last_addr, last_stride, conf = state
+    stride = addr - last_addr
+    if stride != 0 and stride == last_stride:
+        if conf < 3:
+            conf += 1
+    elif conf:
+        conf -= 1
+    table[pc] = (addr, stride, conf)
+    return stride if conf >= 2 else 0
+
+
+def build_data_plan(pcs: List[int], addrs: List[int], dtlb=None,
+                    stride=None) -> Tuple[List[int], List[int]]:
+    """``(dtlb_miss, dstride)`` for the loads and stores *pcs*/*addrs*.
+
+    Replays a DTLB and a stride table of :data:`DATA_GEOMETRY`, both
+    empty, or, given the live *dtlb* (a ``TLB``) and *stride* (an
+    ``IPStridePrefetcher``), of their geometry from their current state
+    (which the replay leaves untouched).
+
+    The DTLB keeps each set's pages in LRU order as dict insertion order
+    (ticks are unique, so that order is the reference's). An access to
+    the page the access before it touched hits and leaves every set's
+    order as it was, so only page changes are replayed.
+    """
+    if dtlb is None:
+        sets, ways, entries = DATA_GEOMETRY
+        lru = [{} for _ in range(sets)]
+        table: Dict = {}
+    else:
+        sets, ways, entries = dtlb.array.sets, dtlb.array.ways, stride.table_entries
+        lru = [dict.fromkeys(sorted(b, key=lambda t, b=b: b[t][1]))
+               for b in dtlb.array._sets]
+        table = dict(stride._table)
+    mask = sets - 1
+    miss = [0] * len(pcs)
+    strides = [0] * len(pcs)
+    last_page = None
+    k = 0
+    for pc, addr in zip(pcs, addrs):
+        page = addr // PAGE_BYTES
+        if page != last_page:
+            last_page = page
+            lru_set = lru[page & mask]
+            if page in lru_set:
+                del lru_set[page]
+            else:
+                miss[k] = 1
+                if len(lru_set) >= ways:
+                    del lru_set[next(iter(lru_set))]
+            lru_set[page] = None
+        state = table.get(pc)
+        if state is None:
+            if len(table) >= entries:
+                del table[next(iter(table))]
+            table[pc] = (addr, 0, 0)
+        else:
+            last_addr, last_stride, conf = state
+            delta = addr - last_addr
+            if delta != 0 and delta == last_stride:
+                if conf < 3:
+                    conf += 1
+            elif conf:
+                conf -= 1
+            table[pc] = (addr, delta, conf)
+            if conf >= 2 and delta:
+                strides[k] = delta
+        k += 1
+    return miss, strides
+
+
+def stride_table(trace, stride, count: int) -> Dict:
+    """The stride table the live *stride* prefetcher would hold after
+    *trace*'s first *count* loads and stores, replayed from its current
+    state (left untouched)."""
+    table = dict(stride._table)
+    pcs, addrs = data_accesses(trace)
+    for pc, addr in zip(pcs[:count], addrs[:count]):
+        stride_step(table, stride.table_entries, pc, addr)
+    return table
+
+
+def data_columns(plan, dtlb, stride, trace) -> Tuple[List[int], List[int]]:
+    """The ``(dtlb_miss, dstride)`` columns a kernel run on the live
+    *dtlb* and *stride* objects consumes: *plan*'s own, when they were
+    replayed for this geometry from the empty state these objects are
+    in, else a replay for this run alone."""
+    arr = dtlb.array
+    if (arr._tick == 0 and not stride._table
+            and (arr.sets, arr.ways, stride.table_entries) == tuple(plan.dgeom)):
+        return plan.dtlb_miss, plan.dstride
+    pcs, addrs = data_accesses(trace)
+    return build_data_plan(pcs, addrs, dtlb, stride)
+
+
+# ---------------------------------------------------------------------------
 # Batch plan: what a generated kernel binds in its prelude
 # ---------------------------------------------------------------------------
 
 
 class BatchPlan:
     """Bundle handed to a kernel: the runtime arrays of a columnar trace
-    + predictor plan, exposed as plain lists (list indexing beats numpy
-    scalar indexing in CPython hot loops). Built once per (workload,
-    geometry) and shared by every config in the batch; persistable as an
-    ``.npz`` payload through the disk cache's ``plans`` tier.
+    + predictor plan + data-side plan, exposed as plain lists (list
+    indexing beats numpy scalar indexing in CPython hot loops). Built
+    once per (workload, geometry) and shared by every config in the
+    batch; persistable as an ``.npz`` payload through the disk cache's
+    ``plans`` tier.
 
     ``next_br`` and ``run_end`` are held as offsets from their own index
     (``j + next_br[j]`` is the next branch, ``i + run_end[i]`` the end of
     the line run): the offsets are small, and CPython shares one object
-    per small int where absolute indices would each cost one."""
+    per small int where absolute indices would each cost one.
+    ``dtlb_miss`` and ``dstride`` have one entry per load or store, in
+    program order, replayed for ``dgeom`` (:data:`DATA_GEOMETRY`)."""
 
     __slots__ = ("geometry", "line_ix", "next_br", "run_end",
-                 "pt", "ras_ok", "ind_pred")
+                 "pt", "ras_ok", "ind_pred", "dtlb_miss", "dstride", "dgeom")
 
     #: Arrays persisted per plan (everything a kernel reads).
     PAYLOAD_KEYS = ("line_ix", "next_br", "run_end", "pt", "ras_ok",
-                    "ind_pred")
+                    "ind_pred", "dtlb_miss", "dstride", "dgeom")
 
     def __init__(self, geometry: PredictorGeometry, line_ix, next_br,
-                 run_end, pt, ras_ok, ind_pred) -> None:
+                 run_end, pt, ras_ok, ind_pred, dtlb_miss, dstride,
+                 dgeom) -> None:
         self.geometry = geometry
         self.line_ix = line_ix
         self.next_br = next_br
@@ -321,15 +461,18 @@ class BatchPlan:
         self.pt = pt
         self.ras_ok = ras_ok
         self.ind_pred = ind_pred
+        self.dtlb_miss = dtlb_miss
+        self.dstride = dstride
+        self.dgeom = dgeom
 
     @classmethod
-    def from_parts(cls, col: ColumnarTrace,
-                   plan: PredictorPlan) -> "BatchPlan":
+    def from_parts(cls, col: ColumnarTrace, plan: PredictorPlan,
+                   data: Tuple[List[int], List[int]]) -> "BatchPlan":
         idx = np.arange(col.n, dtype=np.int64)
         return cls(plan.geometry, col.line_ix.tolist(),
                    (col.next_br - idx).tolist(), (col.run_end - idx).tolist(),
                    plan.pt.tolist(), plan.ras_ok.tolist(),
-                   plan.ind_pred.tolist())
+                   plan.ind_pred.tolist(), *data, list(DATA_GEOMETRY))
 
     @classmethod
     def from_payload(cls, geometry: PredictorGeometry,
@@ -338,7 +481,7 @@ class BatchPlan:
         return cls(geometry, *cols)
 
     def payload(self) -> Dict[str, np.ndarray]:
-        dtypes = {"pt": np.uint8, "ras_ok": np.uint8}
+        dtypes = {"pt": np.uint8, "ras_ok": np.uint8, "dtlb_miss": np.uint8}
         return {
             k: np.asarray(getattr(self, k), dtype=dtypes.get(k, np.int64))
             for k in self.PAYLOAD_KEYS
@@ -346,6 +489,8 @@ class BatchPlan:
 
 
 def build_batch_plan(trace, geometry: PredictorGeometry) -> BatchPlan:
-    """Lower *trace* and replay the predictors for *geometry*."""
+    """Lower *trace*, replay the predictors for *geometry* and the
+    data side for :data:`DATA_GEOMETRY`."""
     col = lower_trace(trace)
-    return BatchPlan.from_parts(col, build_predictor_plan(col, geometry))
+    return BatchPlan.from_parts(col, build_predictor_plan(col, geometry),
+                                build_data_plan(*data_accesses(trace)))

@@ -7,15 +7,20 @@ that the kernel consuming it is an *exact* semantic copy of the
 reference interpreter — same SimResult, same Stats counters, same
 structure samples — that a run without a plan builds it inline with the
 same result, that the interpreter still serves unsupported configs, and
-that a plan for the wrong geometry or trace slice is refused.
+that a plan for the wrong geometry or trace slice is refused. A
+hand-built simulator whose memory differs from its config's runs on the
+kernel too, stride guard included.
 """
 
 import pytest
 
+import repro.trace.columnar as columnar
 from repro.core.config import build_simulator, hetero_btb, ibtb
-from repro.core.passes.kernel import KERNEL_ENV, batch_geometry
+from repro.core.passes.kernel import KERNEL_ENV, batch_geometry, kernel_cache_clear
+from repro.memory.hierarchy import MemoryConfig
 from repro.trace.columnar import build_batch_plan
 from repro.trace.trace import Trace
+from repro.trace.workloads import get_trace
 
 from tests.kernel.goldens import (
     CONFIGS,
@@ -25,6 +30,7 @@ from tests.kernel.goldens import (
     interp_reference,
     run_engine,
 )
+from tests.kernel.test_fuzz import hand_built
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +105,98 @@ def test_plan_length_mismatch_raises(trace, monkeypatch):
     sim = build_simulator(ibtb(16), trace)
     with pytest.raises(RuntimeError, match="trace length"):
         sim.run(batch_plan=short)
+
+
+# -- hand-built memory: any geometry runs on the kernel ------------------------
+
+
+def _both_engines(config, trace, memory_config, monkeypatch, **kw):
+    results = {}
+    for mode in ("interp", "batched"):
+        monkeypatch.setenv(KERNEL_ENV, mode)
+        sim = hand_built(config, trace, memory_config, **kw)
+        results[mode] = (sim.kernel_engine(), sim.run(warmup=L // 4))
+    return results["interp"], results["batched"]
+
+
+def test_hand_built_memory_runs_on_the_kernel(trace, monkeypatch):
+    """A simulator over a memory hierarchy its config would not build
+    (a smaller L1D with two MSHRs) runs on the kernel, which reads the
+    geometry off the live hierarchy, and equals the interpreter."""
+    config = ibtb(16)
+    memory_config = MemoryConfig(scale=config.scale, l1d_sets=16, l1d_mshrs=2)
+    (_, interp), (engine, batched) = _both_engines(
+        config, trace, memory_config, monkeypatch
+    )
+    assert engine == "batched"
+    assert_identical(batched, interp)
+    assert batched != interp_reference(config, L // 4)  # the memory mattered
+
+
+def test_backend_without_memory_falls_back_to_interp(trace, monkeypatch):
+    """An OoO backend that does not load through the simulator's memory
+    (it charges a flat latency) is not what the kernel models."""
+    config = ibtb(16)
+    (_, interp), (engine, batched) = _both_engines(
+        config, trace, MemoryConfig(scale=config.scale), monkeypatch,
+        backend_memory=False,
+    )
+    assert engine == "interp"
+    assert_identical(batched, interp)
+
+
+def test_kernel_leaves_reference_memory_methods_alone(trace, plan_for, monkeypatch):
+    """The kernel's misses run the flat miss paths, and the plan stands
+    in for the DTLB and the stride table: no reference cache or TLB
+    method runs, and the DTLB, the stride table and every memory
+    ``Stats`` are left as they were (docs/kernels.md, cold objects)."""
+    from repro.memory.cache import Cache
+    from repro.memory.tlb import TLB
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the kernel called a reference memory method")
+
+    config = ibtb(16)
+    reference = interp_reference(config)
+    for cls, name in ((Cache, "access"), (Cache, "prefetch"), (TLB, "translate")):
+        monkeypatch.setattr(cls, name, refuse)
+    monkeypatch.setenv(KERNEL_ENV, "batched")
+    sim = build_simulator(config, trace)
+    assert_identical(sim.run(batch_plan=plan_for(config)), reference)
+    mem = sim.memory
+    assert mem.l2.array._tick > 0  # the hierarchy did run
+    assert mem.dtlb.array._tick == 0 and not mem.dstride._table
+    for part in (mem.l1i, mem.l1d, mem.l2, mem.llc, mem.dram,
+                 mem.itlb, mem.dtlb, mem.l2tlb):
+        assert not part.stats.as_dict()
+
+
+def test_stride_guard_fires_and_stays_exact(monkeypatch):
+    """On a one-way L1D with a slow DRAM, loads merge with the in-flight
+    fill of a line evicted before it arrived. ``Cache.access`` returns
+    before the stride prefetcher's hook there, so the plan's stride
+    column stops being exact: the kernel switches to a table it rebuilds
+    by replaying the earlier accesses, and still equals the interpreter."""
+    calls = []
+
+    def spy(trace, stride, count):
+        calls.append(count)
+        return stride_table(trace, stride, count)
+
+    stride_table = columnar.stride_table
+    monkeypatch.setattr(columnar, "stride_table", spy)
+    kernel_cache_clear()  # the next kernel binds the spy
+    try:
+        trace = get_trace("kv_store", 3_000, seed=3)
+        memory_config = MemoryConfig(l1d_sets=1, l1d_ways=1, dram_latency=400)
+        (_, interp), (engine, batched) = _both_engines(
+            ibtb(16), trace, memory_config, monkeypatch
+        )
+    finally:
+        kernel_cache_clear()
+    assert engine == "batched"
+    assert len(calls) == 1 and calls[0] > 0  # fired once, mid-run
+    assert_identical(batched, interp)
 
 
 # -- degenerate slices: both engines agree exactly ----------------------------

@@ -12,6 +12,14 @@ asserts that the interpreter and the kernel return equal
 wire (``result_to_wire``, one frame over a socket pair,
 ``result_from_wire``), the way a remote worker's result reaches the
 coordinator. A shrunk counterexample belongs in ``CONFIGS``.
+
+A second fuzzer hands both engines a hand-built :class:`Simulator` over a
+drawn :class:`MemoryConfig` — sets and ways down to 1, MSHRs down to 1,
+DRAM latency up to 400 — so prefetches are dropped on full MSHRs, lines
+are evicted while their fills are in flight, and the kernel's flat miss
+paths, its per-run data-side columns and its stride guard all run. The
+smallest hierarchies can thrash past the wedge guard's cycle budget;
+both engines must then trip it at the same cycle.
 """
 
 import socket
@@ -19,9 +27,13 @@ import socket
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.backend.scoreboard import IdealBackend, OoOBackend
 from repro.core.config import MachineConfig, build_simulator
 from repro.core.passes.kernel import KERNEL_ENV
+from repro.core.simulator import FrontendConfig, Simulator
 from repro.dist import recv_frame, result_from_wire, result_to_wire, send_frame
+from repro.frontend.engine import PredictionEngine
+from repro.memory.hierarchy import MemoryConfig, MemoryHierarchy
 from repro.trace.cfg import build_program
 from repro.trace.synth import synthesize_trace
 
@@ -102,3 +114,81 @@ def test_kernel_matches_interp_on_any_config(
     kernel = _run(config, trace, warmup, "batched", monkeypatch)
     assert kernel == interp
     assert _over_the_wire(kernel) == interp
+
+
+@st.composite
+def memories(draw):
+    """A :class:`MemoryConfig` from Table 1 down to one set, one way and
+    one MSHR per structure."""
+    sets = st.sampled_from([1, 2, 4, 16, 64])
+    ways = st.integers(1, 4)
+    mshrs = st.integers(1, 4)
+    return MemoryConfig(
+        scale=draw(st.sampled_from([1.0, 0.25])),
+        l1i_sets=draw(sets), l1i_ways=draw(ways), l1i_mshrs=draw(mshrs),
+        l1i_latency=draw(st.integers(1, 4)),
+        l1d_sets=draw(sets), l1d_ways=draw(ways), l1d_mshrs=draw(mshrs),
+        l1d_latency=draw(st.integers(1, 6)),
+        l2_sets=draw(st.sampled_from([1, 8, 64, 1024])), l2_ways=draw(ways),
+        l2_mshrs=draw(mshrs), l2_latency=draw(st.integers(5, 20)),
+        llc_sets=draw(st.sampled_from([1, 16, 2048])), llc_ways=draw(ways),
+        llc_mshrs=draw(mshrs), llc_latency=draw(st.integers(20, 40)),
+        itlb_sets=draw(sets), itlb_ways=draw(ways),
+        dtlb_sets=draw(sets), dtlb_ways=draw(ways),
+        l2tlb_sets=draw(st.sampled_from([1, 4, 128])), l2tlb_ways=draw(ways),
+        l2tlb_latency=draw(st.integers(1, 10)),
+        dram_latency=draw(st.integers(40, 400)),
+        walk_latency=draw(st.integers(10, 100)),
+    )
+
+
+def hand_built(config, trace, memory_config, backend_memory=True):
+    """A simulator over a hierarchy of *memory_config*, wired as
+    ``build_simulator`` wires one (an OoO backend loads through it unless
+    *backend_memory* is false)."""
+    memory = MemoryHierarchy(memory_config)
+    if config.ideal_backend:
+        backend = IdealBackend()
+    else:
+        backend = OoOBackend(memory=memory if backend_memory else None)
+    return Simulator(
+        trace=trace,
+        btb=config.build_btb(),
+        engine=PredictionEngine(bp_size_kb=config.bp_size_kb),
+        backend=backend,
+        memory=memory,
+        frontend=FrontendConfig(early_resteer=config.early_resteer),
+        config=config,
+    )
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    config=configs(),
+    memory=memories(),
+    spec=specs(),
+    length=st.integers(200, 2_500),
+    warmup_share=st.sampled_from([0, 4, 2]),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_kernel_matches_interp_on_any_memory(
+    config, memory, spec, length, warmup_share, seed, monkeypatch
+):
+    trace = synthesize_trace(build_program(spec), length, seed=seed)
+    warmup = length // warmup_share if warmup_share else 0
+    results = {}
+    for mode in ("interp", "batched"):
+        monkeypatch.setenv(KERNEL_ENV, mode)
+        sim = hand_built(config, trace, memory)
+        assert sim.kernel_engine() == mode
+        try:
+            results[mode] = sim.run(warmup=warmup)
+        except RuntimeError as exc:
+            if "wedged" not in str(exc):
+                raise
+            results[mode] = str(exc)
+    assert results["batched"] == results["interp"]

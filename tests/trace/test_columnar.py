@@ -7,7 +7,10 @@ arrays round-trip *exactly* against reference iteration over the
 scans — for synthetic traces, for traces materialized from every corpus
 ingestion format (CSV, ChampSim, CVP-1, gzip/xz-compressed), and for
 empty/one-branch edge cases. :func:`build_predictor_plan` must match
-the live :class:`PredictionEngine` decision-for-decision.
+the live :class:`PredictionEngine` decision-for-decision, and
+:func:`build_data_plan`'s replay loop (with :func:`stride_step` and
+:func:`stride_table`) the reference :class:`TLB` and
+:class:`IPStridePrefetcher` access for access.
 """
 
 import gzip
@@ -15,6 +18,8 @@ import lzma
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.branch.history import GlobalHistory
 from repro.common.types import ILEN, BranchType
@@ -22,12 +27,19 @@ from repro.core.config import MachineConfig
 from repro.core.passes.kernel import batch_geometry
 from repro.corpus import configure_corpus, load_corpus_trace
 from repro.frontend.engine import PredictionEngine
+from repro.memory.prefetch import IPStridePrefetcher
+from repro.memory.tlb import TLB, PageWalker
 from repro.trace.columnar import (
+    DATA_GEOMETRY,
     BatchPlan,
     _folds,
     build_batch_plan,
+    build_data_plan,
     build_predictor_plan,
+    data_accesses,
     lower_trace,
+    stride_step,
+    stride_table,
 )
 from repro.trace.external import save_trace_csv
 from repro.trace.trace import Trace
@@ -268,3 +280,116 @@ def test_batch_plan_holds_offsets():
     assert [i + off for i, off in enumerate(plan.next_br)] == col.next_br.tolist()
     assert [i + off for i, off in enumerate(plan.run_end)] == col.run_end.tolist()
     assert min(plan.run_end, default=1) >= 1  # a run always covers its index
+
+
+# -- the data-side plan vs the reference TLB and stride prefetcher -----------
+
+
+class _Recorder:
+    """A cache stand-in that records the prefetches it is asked for."""
+
+    def __init__(self):
+        self.addrs = []
+
+    def prefetch(self, addr, cycle):
+        self.addrs.append(addr)
+
+
+def _reference_data_plan(pcs, addrs, dtlb, stride):
+    """Drive the reference objects: a DTLB miss costs the walk, and the
+    prefetcher's first request is one stride past the access."""
+    miss, strides = [], []
+    for pc, addr in zip(pcs, addrs):
+        miss.append(int(dtlb.translate(addr, 0) != dtlb.latency))
+        probe = _Recorder()
+        stride.observe_pc(pc)
+        stride.on_access(probe, addr, 0, hit=True)
+        strides.append(probe.addrs[0] - addr if probe.addrs else 0)
+        assert probe.addrs == [addr + strides[-1] * d
+                               for d in range(1, len(probe.addrs) + 1)]
+    return miss, strides
+
+
+def _live(sets, ways, entries):
+    return (TLB("DTLB", sets, ways, 1, PageWalker(latency=60)),
+            IPStridePrefetcher(table_entries=entries))
+
+
+@st.composite
+def data_streams(draw):
+    """Loads and stores of a few PCs, each mostly walking its own stride
+    over a few pages, so TLB sets conflict and strides gain confidence."""
+    pcs = draw(st.lists(st.integers(0, 1 << 12), min_size=1, max_size=8, unique=True))
+    strides = {pc: draw(st.sampled_from([0, 4, 64, -64, 4096, -8192])) for pc in pcs}
+    last = {pc: draw(st.integers(0, 1 << 16)) for pc in pcs}
+    out_pcs, out_addrs = [], []
+    for _ in range(draw(st.integers(0, 200))):
+        pc = draw(st.sampled_from(pcs))
+        if draw(st.integers(0, 3)):
+            last[pc] += strides[pc]
+        else:
+            last[pc] = draw(st.integers(0, 1 << 16))
+        out_pcs.append(pc)
+        out_addrs.append(last[pc])
+    return out_pcs, out_addrs
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stream=data_streams(),
+    sets=st.sampled_from([1, 2, 4, 32]),
+    ways=st.integers(1, 4),
+    entries=st.integers(1, 6),
+    warm=st.integers(0, 30),
+)
+def test_data_plan_matches_reference_tlb_and_prefetcher(stream, sets, ways, entries, warm):
+    """From empty or from warm live state (the first *warm* accesses run
+    through the live objects first), the replay equals the reference
+    objects access for access, and leaves the live objects untouched."""
+    pcs, addrs = stream
+    warm = min(warm, len(pcs))
+    ref_tlb, ref_stride = _live(sets, ways, entries)
+    expected = _reference_data_plan(pcs, addrs, ref_tlb, ref_stride)
+    live_tlb, live_stride = _live(sets, ways, entries)
+    _reference_data_plan(pcs[:warm], addrs[:warm], live_tlb, live_stride)
+    before = (repr(live_tlb.array._sets), live_tlb.array._tick, dict(live_stride._table))
+    miss, strides = build_data_plan(pcs[warm:], addrs[warm:], live_tlb, live_stride)
+    assert (miss, strides) == (expected[0][warm:], expected[1][warm:])
+    assert before == (repr(live_tlb.array._sets), live_tlb.array._tick,
+                      dict(live_stride._table))
+    table = {}
+    assert [stride_step(table, entries, pc, a) for pc, a in zip(pcs, addrs)] == expected[1]
+    assert table == ref_stride._table
+    assert list(table) == list(ref_stride._table)  # eviction order too
+
+
+def test_data_plan_defaults_to_the_hierarchy_geometry():
+    """Without live objects the replay is for :data:`DATA_GEOMETRY`, the
+    DTLB and stride table every ``MachineConfig``'s hierarchy builds."""
+    from repro.memory.hierarchy import MemoryConfig, MemoryHierarchy
+
+    mem = MemoryHierarchy(MemoryConfig(scale=0.25))
+    assert DATA_GEOMETRY == (mem.dtlb.array.sets, mem.dtlb.array.ways,
+                             mem.dstride.table_entries)
+    trace = get_trace("kv_store", 4_000)
+    pcs, addrs = data_accesses(trace)
+    assert len(pcs) == sum(1 for a, b in zip(trace.is_load, trace.is_store) if a or b)
+    assert build_data_plan(pcs, addrs) == _reference_data_plan(
+        pcs, addrs, mem.dtlb, mem.dstride
+    )
+    plan = build_batch_plan(trace, batch_geometry(MachineConfig()))
+    assert (plan.dtlb_miss, plan.dstride) == build_data_plan(pcs, addrs)
+    assert sum(plan.dtlb_miss) and sum(1 for s in plan.dstride if s)
+
+
+def test_stride_table_replays_a_prefix():
+    """The stride guard's table: the live prefetcher's table after the
+    first *count* loads and stores, insertion (eviction) order included."""
+    trace = get_trace("db_oltp", 4_000)
+    pcs, addrs = data_accesses(trace)
+    for count in (0, 1, 700, len(pcs)):
+        reference = IPStridePrefetcher(table_entries=64)
+        _reference_data_plan(pcs[:count], addrs[:count], _live(1, 1, 1)[0], reference)
+        table = stride_table(trace, IPStridePrefetcher(table_entries=64), count)
+        assert table == reference._table
+        assert list(table) == list(reference._table)
