@@ -55,6 +55,18 @@ class OoOBackend:
         self._loads = 0
         self._stores = 0
 
+    def shape(self) -> Tuple[int, ...]:
+        """Ring sizes and latencies: what a compiled kernel bakes in."""
+        return (
+            self.rob_size,
+            self.width,
+            self.frontend_queue,
+            len(self._load_ring),
+            len(self._store_ring),
+            self.branch_latency,
+            self.alu_latency,
+        )
+
     # -- front-end coupling ------------------------------------------------------
 
     def fetch_gate(self, index: int) -> int:
@@ -160,6 +172,10 @@ class IdealBackend:
         self._reg_ready = [0] * NUM_REGS
         self._commit_ring = [0] * window
         self._last_commit = 0
+
+    def shape(self) -> Tuple[int, ...]:
+        """The window size: what a compiled kernel bakes in."""
+        return (self.window,)
 
     def fetch_gate(self, index: int) -> int:
         if index < self.window:

@@ -23,25 +23,33 @@ BLOCK = 2048
 _TWO64 = float(1 << 64)
 
 
-def _blocks(seed: int):
-    """Endless SplitMix64 output of *seed*, as lists of ``BLOCK`` ints.
+def draws(seed: int, start: int, count: int) -> np.ndarray:
+    """Draws ``start + 1`` … ``start + count`` of ``SplitMix(seed)``, as a
+    numpy ``uint64`` array: what *count* ``next_u64()`` calls return
+    after *start* of them.
 
-    Draw n (n = 1, 2, ...) is ``mix(seed + n * GAMMA mod 2**64)``, so a
-    whole block is computed at once in numpy ``uint64``, whose
+    Draw n (n = 1, 2, ...) is ``mix(seed + n * GAMMA mod 2**64)``, so any
+    run of draws is computed at once in numpy ``uint64``, whose
     arithmetic wraps mod 2**64 exactly like the masked scalar formula.
     """
     u64 = np.uint64
-    steps = np.arange(1, BLOCK + 1, dtype=u64) * u64(GAMMA)
-    base = seed
+    z = np.arange(start + 1, start + count + 1, dtype=u64)
+    z *= u64(GAMMA)
+    z += u64(seed & MASK64)
+    z ^= z >> u64(30)
+    z *= u64(0xBF58476D1CE4E5B9)
+    z ^= z >> u64(27)
+    z *= u64(0x94D049BB133111EB)
+    z ^= z >> u64(31)
+    return z
+
+
+def _blocks(seed: int):
+    """Endless SplitMix64 output of *seed*, as lists of ``BLOCK`` ints."""
+    start = 0
     while True:
-        z = steps + u64(base)
-        z ^= z >> u64(30)
-        z *= u64(0xBF58476D1CE4E5B9)
-        z ^= z >> u64(27)
-        z *= u64(0x94D049BB133111EB)
-        z ^= z >> u64(31)
-        yield z.tolist()
-        base = (base + BLOCK * GAMMA) & MASK64
+        yield draws(seed, start, BLOCK).tolist()
+        start += BLOCK
 
 
 class SplitMix:

@@ -141,7 +141,8 @@ class Simulator:
 
         The plan-consuming kernel needs the elaborating config (for the
         pass pipeline), an uninstrumented run (probe call sites are
-        elided, not guarded), the stock frontend/backend shapes, a
+        elided, not guarded), the stock frontend and the stock backend
+        ring sizes and latencies (which the kernel bakes in), a
         memory hierarchy wired the stock way (any geometry: the kernel
         reads it at run time) that an OoO backend loads through, and a
         fresh stats bag (the interpreter's warm-snapshot subtraction and
@@ -162,6 +163,8 @@ class Simulator:
 
         expected = IdealBackend if self.config.ideal_backend else OoOBackend
         if type(self.backend) is not expected:
+            return "interp"
+        if self.backend.shape() != expected().shape():
             return "interp"
         if expected is OoOBackend and self.backend.memory is not self.memory:
             return "interp"

@@ -1,8 +1,8 @@
 """Static program model and synthetic CFG generator.
 
 A :class:`Program` is a set of functions laid out in a flat address space;
-each function is an ordered list of basic blocks; each block carries its
-straight-line instructions and one terminator. The generator produces
+each function is an ordered list of basic blocks; each block owns a run
+of straight-line instructions and one terminator. The generator produces
 programs with datacenter-server shape: a top-level dispatch loop calling
 into layered handler functions (acyclic call graph, so recursion never
 overflows the walker), loops, guard branches, switch-style indirect jumps
@@ -19,9 +19,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from math import floor
 from typing import Dict, List, Optional
 
-from repro.common.rng import SplitMix
+import numpy as np
+
+from repro.common.rng import GAMMA, MASK64, SplitMix, draws
 from repro.common.types import ILEN, BranchType
 from repro.trace.behavior import (
     AlwaysTaken,
@@ -42,6 +45,12 @@ HEAP_BASE = 0x10_000000
 #: Base address of the stack region.
 STACK_BASE = 0x7F_000000
 
+#: Instruction kinds, indexed by the codes of ``Program.kind``.
+KINDS = ("alu", "mul", "load", "store")
+ALU, MUL, LOAD, STORE = range(4)
+
+_TWO64 = float(1 << 64)
+
 
 @dataclass
 class MemBehavior:
@@ -61,7 +70,7 @@ class MemBehavior:
 
 @dataclass
 class StaticInst:
-    """One static non-terminator instruction."""
+    """One static non-terminator instruction (see :meth:`Program.body`)."""
 
     pc: int
     kind: str  # 'alu' | 'mul' | 'load' | 'store'
@@ -75,12 +84,15 @@ class StaticInst:
 class Block:
     """A basic block: straight-line body plus one terminator.
 
+    The body is rows ``first`` … ``first + count - 1`` of the program's
+    instruction columns, at PCs ``start_pc + k * ILEN``.
     ``term_type`` is ``BranchType.NONE`` for plain fall-through blocks
     (the block simply continues into the next one without a branch).
     """
 
     start_pc: int
-    insts: List[StaticInst]
+    first: int = 0
+    count: int = 0
     term_type: BranchType = BranchType.NONE
     taken_target: int = 0
     cond_behavior: Optional[CondBehavior] = None
@@ -89,12 +101,12 @@ class Block:
     @property
     def ninsts(self) -> int:
         """Total instructions including the terminator (if any)."""
-        return len(self.insts) + (1 if self.term_type != BranchType.NONE else 0)
+        return self.count + (1 if self.term_type != BranchType.NONE else 0)
 
     @property
     def term_pc(self) -> int:
         """PC of the terminator (only meaningful when one exists)."""
-        return self.start_pc + len(self.insts) * ILEN
+        return self.start_pc + self.count * ILEN
 
     @property
     def end_pc(self) -> int:
@@ -124,9 +136,22 @@ class Function:
 
 @dataclass
 class Program:
-    """Complete static program: functions plus a block address map."""
+    """Complete static program: functions, a block address map, and
+    every block body as flat per-instruction columns.
+
+    Row i of the columns is one instruction: ``kind[i]`` indexes
+    :data:`KINDS`, ``dst[i]`` is −1 for stores, and ``mem[i]`` indexes
+    ``mem_table`` (−1: no memory access). Many instructions share a
+    :class:`MemBehavior`, so the table holds each one once.
+    """
 
     functions: List[Function]
+    kind: List[int] = field(default_factory=list)
+    dst: List[int] = field(default_factory=list)
+    src1: List[int] = field(default_factory=list)
+    src2: List[int] = field(default_factory=list)
+    mem: List[int] = field(default_factory=list)
+    mem_table: List[MemBehavior] = field(default_factory=list)
     block_at: Dict[int, Block] = field(default_factory=dict)
 
     def finalize(self) -> None:
@@ -144,6 +169,22 @@ class Program:
     def static_instructions(self) -> int:
         """Total static instruction count."""
         return sum(b.ninsts for f in self.functions for b in f.blocks)
+
+    def body(self, block: Block) -> List[StaticInst]:
+        """*block*'s instructions as fresh :class:`StaticInst` records: a
+        read-only view of the columns for inspection, not for hot paths."""
+        mems = self.mem_table
+        return [
+            StaticInst(
+                block.start_pc + k * ILEN,
+                KINDS[self.kind[i]],
+                self.dst[i],
+                self.src1[i],
+                self.src2[i],
+                mems[self.mem[i]] if self.mem[i] >= 0 else None,
+            )
+            for k, i in enumerate(range(block.first, block.first + block.count))
+        ]
 
 
 @dataclass
@@ -229,15 +270,104 @@ class _Callees:
         return self.pcs[index] if index < len(self.pcs) else self.pcs[-1]
 
 
+# -- the body pass's draws ------------------------------------------------------
+#
+# An instruction's draws, from its first: the kind roll, the destination,
+# then per source a 0.6 roll and the pick (``recent[c % len(recent)]`` on
+# a roll below 0.6, else register ``c % 32``), then, for a load or a
+# store, the memory roll and, in the hot and warm tiers, a region and a
+# stride pick. While no non-store has been drawn yet, the window of recent
+# destinations is empty: each source is one ``c % 32`` draw and the
+# memory draws move up by two.
+_DST, _U1, _C1, _U2, _C2, _MEM = 1, 2, 3, 4, 5, 6
+_OPEN_S1, _OPEN_S2, _OPEN_MEM = 2, 3, 4
+#: Draws past the last instruction start a gather may read.
+_LOOKAHEAD = 16
+#: Stride picks of the hot tier (10 regions) and the warm tier (6).
+_HOT_STRIDES = (8, 8, 16, 64)
+_WARM_STRIDES = (16, 64)
+#: Memory-table offsets of the warm tier and the cold entry, past the
+#: stack frames (one per function) and the hot tier.
+_WARM, _COLD = 10 * len(_HOT_STRIDES), 10 * len(_HOT_STRIDES) + 6 * len(_WARM_STRIDES)
+
+
+def _cut(below) -> int:
+    """Least u64 draw ``d`` for which ``below(d / 2**64)`` is false, where
+    *below* is true on a prefix of [0, 1]: the draws below the cut are
+    exactly those for which the float test holds (2**64: all of them)."""
+    lo, hi = 0, 1 << 64
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if below(mid / _TWO64):
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _cut_below(p: float) -> int:
+    """The cut of ``uniform() < p``."""
+    return _cut(lambda u: u < p)
+
+
+def _under(values: np.ndarray, cut: int) -> np.ndarray:
+    """``values < cut`` for u64 *values* and a cut up to 2**64."""
+    if cut > MASK64:
+        return np.ones(len(values), dtype=bool)
+    return values < np.uint64(cut)
+
+
+class _Geometric:
+    """``SplitMix.geometric(mean)`` over a table of drawn stop flags.
+
+    The draw loop continues while ``u > 1 / mean`` and gives up after
+    ``floor(64 * mean)`` continuing draws, so a size is the distance to
+    the next stop flag, found with ``bytes.find``, or the cap.
+    """
+
+    __slots__ = ("stops", "cap", "_end")
+
+    def __init__(self, mean: float, values: np.ndarray, end: int) -> None:
+        if mean < 1.0:
+            raise ValueError("mean must be >= 1")
+        self._end = end
+        self.stops = None
+        self.cap = floor(64 * mean)
+        if mean != 1.0:
+            p = 1.0 / mean
+            self.stops = _under(values[:end], _cut(lambda u: not u > p)).tobytes()
+
+    def draw(self, pos: int):
+        """``(size, next position)`` for a draw loop starting at *pos*;
+        ``None`` when the table ends before the loop does."""
+        if self.stops is None:
+            return 1, pos
+        stop = self.stops.find(1, pos, pos + self.cap)
+        if stop >= 0:
+            return stop - pos + 1, stop + 1
+        if pos + self.cap > self._end:
+            return None
+        return self.cap + 1, pos + self.cap
+
+
 class ProgramBuilder:
-    """Generates a :class:`Program` from a :class:`ProgramSpec`."""
+    """Generates a :class:`Program` from a :class:`ProgramSpec`.
+
+    The body pass draws every block body from one numpy block of
+    upcoming draws (draw n is ``mix(seed + n·γ)``, so the block can be
+    computed before anything is walked); the terminator pass and the
+    relayout then continue on a :class:`SplitMix` positioned after it.
+    ``tests/trace/reference_builder.py`` keeps the one-draw-at-a-time
+    builder this must equal.
+    """
 
     def __init__(self, spec: ProgramSpec) -> None:
         self.spec = spec
         self.rng = SplitMix(spec.seed)
-        self._recent_dsts: List[int] = []
+        #: Draws the body pass ended at (counted from the seed).
+        self.body_draws = 0
         self._callees_at: Dict[int, _Callees] = {}
-        # Shared data regions (see _make_mem): (base, span_bytes).
+        # Shared data regions (see _mem_table): (base, span_bytes).
         self._hot_regions = [
             (HEAP_BASE + i * (1 << 16), self.rng.choice([4096, 8192, 16384]))
             for i in range(10)
@@ -249,68 +379,225 @@ class ProgramBuilder:
 
     # -- instruction bodies ---------------------------------------------------
 
-    def _make_body(self, pc: int, count: int, func_index: int) -> List[StaticInst]:
+    def _mem_table(self, n_functions: int) -> List[MemBehavior]:
+        """Memory behaviour mix of server code, one entry per distinct
+        behaviour: a stack frame per function (tiny span, always hits),
+        hot shared structures that many static loads share (lines reused
+        across the program), a warm tier of larger tables (mostly L2/LLC
+        resident), and a cold tail of random pointer chases over a big
+        span that produces the DRAM-bound loads."""
         spec = self.spec
-        uniform, randint, choice = self.rng.uniform, self.rng.randint, self.rng.choice
-        recent = self._recent_dsts
-        make_mem = self._make_mem
-        load_cut = spec.p_load
-        store_cut = load_cut + spec.p_store
-        mul_cut = store_cut + spec.p_mul
-        insts = []
-        for k in range(count):
-            roll = uniform()
-            dst = randint(1, 31)
-            # Sources read a recent destination 60 % of the time.
-            src1 = choice(recent) if recent and uniform() < 0.6 else randint(0, 31)
-            src2 = choice(recent) if recent and uniform() < 0.6 else randint(0, 31)
-            mem = None
-            if roll < load_cut:
-                kind = "load"
-                mem = make_mem(func_index)
-            elif roll < store_cut:
-                kind = "store"
-                mem = make_mem(func_index)
-                dst = -1
-            elif roll < mul_cut:
-                kind = "mul"
-            else:
-                kind = "alu"
-            if dst >= 0:
-                recent.append(dst)
-                if len(recent) > 8:
-                    recent.pop(0)
-            insts.append(StaticInst(pc + k * ILEN, kind, dst, src1, src2, mem))
-        return insts
-
-    def _make_mem(self, func_index: int) -> MemBehavior:
-        """Memory behaviour mix of server code: mostly stack frames and
-        shared hot heap structures (cache-resident), a warm tier, and a
-        small cold/random tail that produces the DRAM-bound loads."""
-        spec = self.spec
-        roll = self.rng.uniform()
-        if roll < 0.55:
-            # Stack-frame access: tiny span, always hits.
-            base = STACK_BASE + func_index * spec.stack_frame
-            return MemBehavior(base=base, stride=8, span=spec.stack_frame)
-        if roll < 0.88:
-            # Hot shared structure: many static loads share few regions,
-            # so lines are reused across the whole program.
-            base, span = self.rng.choice(self._hot_regions)
-            stride = self.rng.choice([8, 8, 16, 64])
-            return MemBehavior(base=base, stride=stride, span=span, p_random=0.02)
-        if roll < 0.985:
-            # Warm tier: larger shared tables, mostly L2/LLC resident.
-            base, span = self.rng.choice(self._warm_regions)
-            stride = self.rng.choice([16, 64])
-            return MemBehavior(base=base, stride=stride, span=span, p_random=0.02)
-        # Cold tail: random pointer chases over a big span.
-        return MemBehavior(
-            base=HEAP_BASE + (3 << 22),
-            stride=64,
-            span=min(spec.heap_span, 1 << 20),
-            p_random=max(0.3, spec.p_mem_random),
+        table = [
+            MemBehavior(base=STACK_BASE + i * spec.stack_frame, stride=8, span=spec.stack_frame)
+            for i in range(n_functions)
+        ]
+        table += [
+            MemBehavior(base=base, stride=stride, span=span, p_random=0.02)
+            for base, span in self._hot_regions
+            for stride in _HOT_STRIDES
+        ]
+        table += [
+            MemBehavior(base=base, stride=stride, span=span, p_random=0.02)
+            for base, span in self._warm_regions
+            for stride in _WARM_STRIDES
+        ]
+        table.append(
+            MemBehavior(
+                base=HEAP_BASE + (3 << 22),
+                stride=64,
+                span=min(spec.heap_span, 1 << 20),
+                p_random=max(0.3, spec.p_mem_random),
+            )
         )
+        return table
+
+    def _draw_estimate(self, n_functions: int) -> int:
+        """Draws the body pass is expected to need, with headroom: per
+        block, about ``block_body_mean`` size draws and as many
+        instructions of 6 draws, plus 1.9 memory draws per load or
+        store (0.565·1 + 0.435·3); per function, its block-count draws
+        and a gap. A walk that runs out starts again on twice as many."""
+        spec = self.spec
+        p_mem = min(1.0, max(0.0, spec.p_load + spec.p_store))
+        per_block = spec.block_body_mean * (7 + 1.9 * p_mem)
+        per_function = (spec.blocks_per_function_mean + 0.5) * per_block
+        per_function += spec.blocks_per_function_mean + 1
+        return int(1.15 * n_functions * per_function) + 4096
+
+    def _bodies(self, levels: List[int], heats: List[float], start: int) -> Program:
+        """The body pass: every function and block with its body, block
+        start PCs provisional (a terminator slot reserved in each)."""
+        spec = self.spec
+        n_functions = len(levels)
+        if spec.function_gap_max < 0:
+            raise ValueError(f"empty range [0, {spec.function_gap_max}]")
+        p_store = spec.p_load + spec.p_store
+        cuts = dict(
+            load=_cut_below(spec.p_load),
+            store=_cut_below(p_store),
+            mul=_cut_below(p_store + spec.p_mul),
+            stack=_cut_below(0.55),
+            hot=_cut_below(0.88),
+            warm=_cut_below(0.985),
+        )
+        need = self._draw_estimate(n_functions)
+        while True:
+            values = draws(spec.seed, start, need + _LOOKAHEAD)
+            walk = self._walk(values, need, n_functions, cuts)
+            if walk is not None:
+                break
+            need *= 2
+        starts, n_open, sizes, n_blocks, gap_at, end = walk
+        self.body_draws = start + end
+        self.rng = SplitMix((spec.seed + (start + end) * GAMMA) & MASK64)
+
+        functions: List[Function] = []
+        gaps = (values[gap_at] % np.uint64(spec.function_gap_max + 1)).tolist()
+        pc, first, b = CODE_BASE, 0, 0
+        for index, level in enumerate(levels):
+            func = Function(name=f"fn{index:03d}", level=level, heat=heats[index])
+            blocks = func.blocks
+            for body in sizes[b : b + n_blocks[index]]:
+                blocks.append(Block(pc, first, body))
+                first += body
+                pc += (body + 1) * ILEN
+            b += n_blocks[index]
+            functions.append(func)
+            pc += gaps[index] * ILEN
+        function_of = np.repeat(np.repeat(np.arange(n_functions), n_blocks), sizes)
+        program = Program(functions=functions, mem_table=self._mem_table(n_functions))
+        starts = np.array(starts, dtype=np.int64)
+        self._fill_columns(program, values, starts, n_open, function_of, cuts)
+        return program
+
+    def _walk(self, values: np.ndarray, end: int, n_functions: int, cuts):
+        """Walk the body pass's draw positions over *values* (usable up to
+        *end*): ``(instruction starts, opening instructions, block sizes,
+        blocks per function, gap draw positions, draws used)``, or
+        ``None`` when *end* draws are not enough. The opening
+        instructions are those drawn while the window of recent
+        destinations was empty: up to and including the first non-store."""
+        spec = self.spec
+        cut_load, cut_store = cuts["load"], cuts["store"]
+        cut_stack, cut_warm = cuts["stack"], cuts["warm"]
+        # Draws a whole instruction takes once the window is open.
+        memroll = values[_MEM : end + _MEM]
+        tiered = ~_under(memroll, cut_stack) & _under(memroll, cut_warm)
+        mem = _under(values[:end], cut_store)
+        step = (mem * (1 + 2 * tiered.astype(np.uint8)) + _MEM).astype(np.uint8).tobytes()
+        blocks_per_function = _Geometric(spec.blocks_per_function_mean, values, end)
+        body_size = _Geometric(spec.block_body_mean, values, end)
+        body_max, first_blocks = spec.block_body_max, spec.dispatch_sites + 2
+
+        starts: List[int] = []
+        add = starts.append
+        sizes: List[int] = []
+        n_blocks: List[int] = []
+        gap_at: List[int] = []
+        pos, n_open = 0, None
+        try:
+            for index in range(n_functions):
+                if index == 0:
+                    count = first_blocks
+                else:
+                    drawn = blocks_per_function.draw(pos)
+                    if drawn is None:
+                        return None
+                    count, pos = drawn
+                    count = max(3, count)
+                n_blocks.append(count)
+                for _ in range(count):
+                    drawn = body_size.draw(pos)
+                    if drawn is None:
+                        return None
+                    body, pos = drawn
+                    body = min(body_max, max(1, body))
+                    sizes.append(body)
+                    left = body
+                    while n_open is None and left:
+                        # The recent-destination window is still empty.
+                        if pos >= end:
+                            return None
+                        add(pos)
+                        roll = int(values[pos])
+                        if roll < cut_store:
+                            mem_roll = int(values[pos + _OPEN_MEM])
+                            pos += _OPEN_MEM + (3 if cut_stack <= mem_roll < cut_warm else 1)
+                        else:
+                            pos += _OPEN_MEM
+                        if not cut_load <= roll < cut_store:
+                            n_open = len(starts)
+                        left -= 1
+                    for _ in range(left):
+                        add(pos)
+                        pos += step[pos]
+                gap_at.append(pos)
+                pos += 1
+        except IndexError:
+            return None
+        if pos > end:
+            return None
+        if n_open is None:
+            n_open = len(starts)
+        return starts, n_open, sizes, n_blocks, gap_at, pos
+
+    @staticmethod
+    def _fill_columns(program, values, starts, n_open, function_of, cuts) -> None:
+        """Gather every instruction's fields from its draws."""
+        u64 = np.uint64
+        n = len(starts)
+        roll = values[starts]
+        load = _under(roll, cuts["load"])
+        store = ~load & _under(roll, cuts["store"])
+        mul = ~(load | store) & _under(roll, cuts["mul"])
+        kind = np.full(n, ALU, dtype=np.int8)
+        kind[mul] = MUL
+        kind[load] = LOAD
+        kind[store] = STORE
+        dst = (values[starts + _DST] % u64(31)).astype(np.int64) + 1
+        dst[store] = -1
+        src1 = np.empty(n, dtype=np.int64)
+        src2 = np.empty(n, dtype=np.int64)
+        opening, rest = starts[:n_open], starts[n_open:]
+        src1[:n_open] = values[opening + _OPEN_S1] % u64(32)
+        src2[:n_open] = values[opening + _OPEN_S2] % u64(32)
+        if len(rest):
+            # The window at an instruction holds the last min(8, m)
+            # non-store destinations before it, m of them drawn so far.
+            writes = ~store
+            drawn = (np.cumsum(writes) - writes)[n_open:]
+            window = np.minimum(drawn, 8).astype(u64)
+            oldest = drawn - window.astype(np.int64)
+            written = dst[writes]
+            cut_pick = _cut_below(0.6)
+            for col, u, c in ((src1, _U1, _C1), (src2, _U2, _C2)):
+                pick = values[rest + c]
+                col[n_open:] = np.where(
+                    _under(values[rest + u], cut_pick),
+                    written[oldest + (pick % window).astype(np.int64)],
+                    (pick % u64(32)).astype(np.int64),
+                )
+        # Memory table rows: stack frame, hot, warm or cold tier.
+        at = starts + np.where(np.arange(n) < n_open, _OPEN_MEM, _MEM)
+        memroll, region, stride = values[at], values[at + 1], values[at + 2]
+        stack = _under(memroll, cuts["stack"])
+        hot = ~stack & _under(memroll, cuts["hot"])
+        warm = ~(stack | hot) & _under(memroll, cuts["warm"])
+        n_functions = len(program.functions)
+        hot_row = (region % u64(10)) * u64(len(_HOT_STRIDES)) + stride % u64(len(_HOT_STRIDES))
+        warm_row = (region % u64(6)) * u64(len(_WARM_STRIDES)) + stride % u64(len(_WARM_STRIDES))
+        row = np.where(
+            stack,
+            function_of,
+            n_functions
+            + np.where(hot, hot_row, np.where(warm, _WARM + warm_row, _COLD)).astype(np.int64),
+        )
+        row[~(load | store)] = -1
+        program.kind = kind.tolist()
+        program.dst = dst.tolist()
+        program.src1 = src1.tolist()
+        program.src2 = src2.tolist()
+        program.mem = row.tolist()
 
     # -- behaviours ------------------------------------------------------------
 
@@ -344,35 +631,19 @@ class ProgramBuilder:
 
     def build(self) -> Program:
         """Generate the full program."""
-        spec = self.spec
         levels = self._assign_levels()
-        functions: List[Function] = []
-        pc = CODE_BASE
-        # First pass: create blocks with bodies, leaving terminators open.
         heats = self._assign_heats(len(levels))
-        for index, level in enumerate(levels):
-            func = Function(name=f"fn{index:03d}", level=level, heat=heats[index])
-            if index == 0:
-                # The dispatcher needs one block per call site, a loop
-                # back-edge block and a return block.
-                n_blocks = spec.dispatch_sites + 2
-            else:
-                n_blocks = max(3, self.rng.geometric(spec.blocks_per_function_mean))
-            for _ in range(n_blocks):
-                body = min(spec.block_body_max, max(1, self.rng.geometric(spec.block_body_mean)))
-                block = Block(start_pc=pc, insts=self._make_body(pc, body, index))
-                func.blocks.append(block)
-                # Reserve one slot for a potential terminator.
-                pc = block.start_pc + (body + 1) * ILEN
-            functions.append(func)
-            pc += self.rng.randint(0, spec.function_gap_max) * ILEN
+        # First pass: every block with its body, terminators left open.
+        # It starts after the 16 region draws, one per non-entry level
+        # and one per shuffle swap.
+        program = self._bodies(levels, heats, 16 + 2 * (len(levels) - 1))
+        functions = program.functions
         # Second pass: assign terminators now that all entry PCs exist.
         self._build_dispatcher(functions[0], functions)
         for func in functions[1:]:
             self._assign_terminators(func, functions)
         # Third pass: compact PCs (blocks without terminators shrank by one slot).
         self._relayout(functions)
-        program = Program(functions=functions)
         program.finalize()
         return program
 
@@ -517,18 +788,17 @@ class ProgramBuilder:
         The first pass reserved a terminator slot in every block; plain
         fall-through blocks give it back here, so the address map must be
         rebuilt and every ``taken_target`` / indirect target remapped.
+        Instruction PCs follow from the block's (``start_pc + k * ILEN``).
         """
         old_to_new: Dict[int, int] = {}
         pc = CODE_BASE
+        randint, gap_max = self.rng.randint, self.spec.function_gap_max
         for func in functions:
             for block in func.blocks:
                 old_to_new[block.start_pc] = pc
-                new_start = pc
-                for k, inst in enumerate(block.insts):
-                    inst.pc = new_start + k * ILEN
-                block.start_pc = new_start
+                block.start_pc = pc
                 pc = block.end_pc
-            pc += self.rng.randint(0, self.spec.function_gap_max) * ILEN
+            pc += randint(0, gap_max) * ILEN
         for func in functions:
             for block in func.blocks:
                 if block.taken_target:

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.common.rng import SplitMix
-from repro.common.types import BranchType
-from repro.trace.cfg import Block, Program
+from repro.common.types import ILEN, BranchType
+from repro.trace.cfg import LOAD, STORE, Block, Program
 from repro.trace.trace import Trace
 
 #: Hard cap on call depth; the acyclic call-graph levels already bound the
@@ -65,16 +65,23 @@ class TraceSynthesizer:
     def _emit_body(self, block: Block, trace: Trace) -> None:
         tpl = self._body_cache.get(block.start_pc)
         if tpl is None:
-            insts = block.insts
+            program = self.program
+            first, end = block.first, block.first + block.count
+            kinds = program.kind[first:end]
+            mem_table = program.mem_table
             tpl = (
-                [i.pc for i in insts],
-                [i.dst for i in insts],
-                [i.src1 for i in insts],
-                [i.src2 for i in insts],
-                [1 if i.kind == "load" else 0 for i in insts],
-                [1 if i.kind == "store" else 0 for i in insts],
-                [0] * len(insts),
-                [(k, i) for k, i in enumerate(insts) if i.mem is not None],
+                list(range(block.start_pc, block.start_pc + block.count * ILEN, ILEN)),
+                program.dst[first:end],
+                program.src1[first:end],
+                program.src2[first:end],
+                [1 if k == LOAD else 0 for k in kinds],
+                [1 if k == STORE else 0 for k in kinds],
+                [0] * block.count,
+                [
+                    (k, block.start_pc + k * ILEN, mem_table[m])
+                    for k, m in enumerate(program.mem[first:end])
+                    if m >= 0
+                ],
             )
             self._body_cache[block.start_pc] = tpl
         pcs, dsts, src1s, src2s, loads, stores, zeros, mem_insts = tpl
@@ -98,10 +105,10 @@ class TraceSynthesizer:
         maddr_col = [0] * len(pcs)
         visit_count = self._visit_count
         rng = self.rng
-        for off, inst in mem_insts:
-            visit = visit_count.get(inst.pc, 0)
-            visit_count[inst.pc] = visit + 1
-            maddr_col[off] = inst.mem.address(visit, rng)
+        for off, pc, mem in mem_insts:
+            visit = visit_count.get(pc, 0)
+            visit_count[pc] = visit + 1
+            maddr_col[off] = mem.address(visit, rng)
         trace.maddr.extend(maddr_col)
 
     def _run_block(self, block: Block, stack: List[int], trace: Trace, length: int) -> Block:

@@ -2,9 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.common.rng import BLOCK, SplitMix, mix_hash
+from repro.common.rng import BLOCK, SplitMix, draws, mix_hash
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -103,6 +104,20 @@ def test_stream_equals_scalar_reference_across_blocks(seed):
     rng, ref = SplitMix(seed), ScalarSplitMix(seed)
     n = 3 * BLOCK + BLOCK // 2 + 1
     assert [rng.next_u64() for _ in range(n)] == [ref.next_u64() for _ in range(n)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_draw_runs_equal_scalar_reference_across_blocks(seed):
+    """``draws(seed, start, count)`` is the scalar stream's draws
+    ``start + 1`` … ``start + count``, wherever the run starts and ends
+    relative to ``SplitMix``'s blocks."""
+    ref = ScalarSplitMix(seed)
+    stream = [ref.next_u64() for _ in range(3 * BLOCK + 16)]
+    for start in (0, 1, BLOCK - 3, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK - 7, 2 * BLOCK):
+        for count in (0, 1, 5, BLOCK, BLOCK + 9):
+            run = draws(seed, start, count)
+            assert run.dtype == np.uint64
+            assert run.tolist() == stream[start : start + count], (start, count)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

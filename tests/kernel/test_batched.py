@@ -15,7 +15,7 @@ kernel too, stride guard included.
 import pytest
 
 import repro.trace.columnar as columnar
-from repro.core.config import build_simulator, hetero_btb, ibtb
+from repro.core.config import build_simulator, hetero_btb, ibtb, mbbtb
 from repro.core.passes.kernel import KERNEL_ENV, batch_geometry, kernel_cache_clear
 from repro.memory.hierarchy import MemoryConfig
 from repro.trace.columnar import build_batch_plan
@@ -31,6 +31,8 @@ from tests.kernel.goldens import (
     run_engine,
 )
 from tests.kernel.test_fuzz import hand_built
+
+IDEAL_BACKEND = mbbtb(2, "allbr", block_insts=64, ideal_btb=True, ideal_backend=True)
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +145,29 @@ def test_backend_without_memory_falls_back_to_interp(trace, monkeypatch):
     )
     assert engine == "interp"
     assert_identical(batched, interp)
+
+
+@pytest.mark.parametrize(
+    "ideal,backend_kw",
+    [
+        (False, dict(alu_latency=2, branch_latency=3)),
+        (False, dict(rob_size=128)),
+        (True, dict(window=64)),
+    ],
+    ids=["latencies", "rob", "ideal-window"],
+)
+def test_backend_off_the_plan_falls_back_to_interp(trace, monkeypatch, ideal, backend_kw):
+    """The kernel bakes in the stock backend's ring sizes and latencies:
+    a hand-built backend with other ones runs on the interpreter (it used
+    to run on the kernel with the stock latencies, or to raise
+    ``kernel/config mismatch: backend`` on a ring size)."""
+    config = IDEAL_BACKEND if ideal else ibtb(16)
+    (_, interp), (engine, batched) = _both_engines(
+        config, trace, MemoryConfig(scale=config.scale), monkeypatch, **backend_kw
+    )
+    assert engine == "interp"
+    assert_identical(batched, interp)
+    assert interp != interp_reference(config, L // 4)  # the backend mattered
 
 
 def test_kernel_leaves_reference_memory_methods_alone(trace, plan_for, monkeypatch):

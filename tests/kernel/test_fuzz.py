@@ -142,15 +142,15 @@ def memories(draw):
     )
 
 
-def hand_built(config, trace, memory_config, backend_memory=True):
+def hand_built(config, trace, memory_config, backend_memory=True, **backend_kw):
     """A simulator over a hierarchy of *memory_config*, wired as
     ``build_simulator`` wires one (an OoO backend loads through it unless
-    *backend_memory* is false)."""
+    *backend_memory* is false); *backend_kw* go to the backend."""
     memory = MemoryHierarchy(memory_config)
     if config.ideal_backend:
-        backend = IdealBackend()
+        backend = IdealBackend(**backend_kw)
     else:
-        backend = OoOBackend(memory=memory if backend_memory else None)
+        backend = OoOBackend(memory=memory if backend_memory else None, **backend_kw)
     return Simulator(
         trace=trace,
         btb=config.build_btb(),

@@ -79,7 +79,7 @@ def test_code_starts_at_base(program):
 def test_instruction_pcs_match_block_layout(program):
     for f in program.functions:
         for b in f.blocks:
-            for k, inst in enumerate(b.insts):
+            for k, inst in enumerate(program.body(b)):
                 assert inst.pc == b.start_pc + k * ILEN
 
 
@@ -137,7 +137,7 @@ def test_callee_pick_is_weighted_choice_by_bisection():
         for i in range(script.randint(2, 40)):
             heat = script.choice([script.random(), 1.0 / (i + 1) ** 1.2, 1e-9, 0.0])
             func = Function(name=f"f{i}", level=script.randint(0, 4), heat=heat)
-            func.blocks.append(Block(start_pc=CODE_BASE + 64 * i, insts=[]))
+            func.blocks.append(Block(start_pc=CODE_BASE + 64 * i))
             functions.append(func)
         for level in range(4):
             callees = _Callees(functions, level)
