@@ -27,7 +27,9 @@ parallelism grain of the paper's ChampSim campaigns. Three layers:
 
 from __future__ import annotations
 
+import gc
 import os
+import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
@@ -317,6 +319,42 @@ def fetch_batch_plan(point: SweepPoint, trace):
     return plan
 
 
+class _CollectorPause:
+    """Keeps the cyclic garbage collector off while a point runs.
+
+    A point allocates millions of objects (trace and plan columns, cache
+    tables, kernel state), none of them in a reference cycle, so every
+    collection the allocations trigger rescans them for nothing: with
+    the collector off for a whole sweep, ``gc.collect()`` afterwards
+    finds no unreachable object. The collector's state is process-wide,
+    so the pause is one per process: the first point to enter records
+    the state its caller left (a caller that had the collector off keeps
+    it off), and the last one to leave restores it, however many threads
+    run points at once.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._restore = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._depth:
+                self._restore = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if not self._depth and self._restore:
+                gc.enable()
+
+
+_collector_pause = _CollectorPause()
+
+
 def execute_point(point: SweepPoint) -> SimResult:
     """Simulate one point, going through the persistent cache if enabled.
 
@@ -326,7 +364,16 @@ def execute_point(point: SweepPoint) -> SimResult:
     artifact already exists (otherwise the point is re-simulated to
     produce it — observation does not perturb results, so the refreshed
     result is identical).
+
+    The point runs with the cyclic garbage collector paused (see
+    :class:`_CollectorPause`); the caller's collector state is back when
+    it returns or raises.
     """
+    with _collector_pause:
+        return _execute_point(point)
+
+
+def _execute_point(point: SweepPoint) -> SimResult:
     disk = get_disk_cache()
     key = None
     if disk is not None:

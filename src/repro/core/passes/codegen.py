@@ -26,15 +26,17 @@ consume exactly the instructions the reference loops consume.
 Bit-identity strategy: the kernel operates on the *same hardware state
 objects* the interpreter would use (``sim.btb``, ``sim.memory``,
 ``sim.backend``). Hot paths are inlined against their internals
-(set-dicts, ring buffers); rare paths (allocate, L2 promote,
-split/pull) call the reference methods on those objects, and memory
-misses run the flat miss paths of :mod:`repro.core.passes.misspath` on
-the same state. Inlined fast paths are written so that a fall-through
-to a slow path re-executes only side-effect-free probes (a failed
-``dict.get`` has no LRU effect), which keeps LRU tick sequencing and
-replacement decisions identical to the interpreter. The predictor
-objects on ``sim.engine``, the DTLB and the stride prefetcher's table
-are never touched: their evolution lives in the plan.
+(set-dicts; the backend admits on per-run timelines that it writes
+back into its rings at the end, see ``_emit_admit_ooo``); rare paths
+(allocate, L2 promote, split/pull) call the reference methods on those
+objects, and memory misses run the flat miss paths of
+:mod:`repro.core.passes.misspath` on the same state. Inlined fast
+paths are written so that a fall-through to a slow path re-executes
+only side-effect-free probes (a failed ``dict.get`` has no LRU
+effect), which keeps LRU tick sequencing and replacement decisions
+identical to the interpreter. The predictor objects on ``sim.engine``,
+the DTLB and the stride prefetcher's table are never touched: their
+evolution lives in the plan.
 """
 
 from __future__ import annotations
@@ -227,6 +229,7 @@ class CodegenPass:
                 "commit_ring = backend._commit_ring",
                 f"if len(commit_ring) != {p.bk_window}:",
                 "    raise RuntimeError(\"kernel/config mismatch: backend\")",
+                f"K = [-1] * (n + {p.bk_window})",
             )
         else:
             w.lines(
@@ -243,6 +246,8 @@ class CodegenPass:
                 f" or len(fq_ring) != {p.bk_fq} or len(load_ring) != {p.bk_load_ports}"
                 f" or len(store_ring) != {p.bk_store_ports}):",
                 "    raise RuntimeError(\"kernel/config mismatch: backend\")",
+                f"D = [-1] * (n + {max(p.bk_width, p.bk_fq)})",
+                f"K = [-1] * (n + {max(p.bk_width, p.bk_rob)})",
                 # d-side memory (live only with the OoO backend). The
                 # plan's columns stand in for the DTLB and the stride
                 # table, which the run leaves untouched; ``dlive`` is the
@@ -263,8 +268,10 @@ class CodegenPass:
                 "dlive = None",
                 "dmerge = -1",
             )
-        # Per-run queues and loop state.
+        # Per-run queues and loop state. ``regs`` is the register
+        # scoreboard behind a zero slot that a source of -1 reads.
         w.lines(
+            "regs = [0] + reg_ready",
             "ftq = deque()",
             "ftq_append = ftq.append",
             "ftq_popleft = ftq.popleft",
@@ -272,7 +279,8 @@ class CodegenPass:
             "line_avail_get = line_avail.get",
             "line_avail_touch = line_avail.move_to_end",
             "line_avail_evict = line_avail.popitem",
-            "pending_events = {}",
+            "pend_j = -1",
+            "pend_kind = 0",
             "cycle = 0",
             "i_pcgen = 0",
             "admitted = 0",
@@ -458,10 +466,7 @@ class CodegenPass:
         still fires at exactly ``max_cycles + 1``.
         """
         p = self.plan
-        if p.ideal_backend:
-            gate_ring, gate_n = "commit_ring", p.bk_window
-        else:
-            gate_ring, gate_n = "fq_ring", p.bk_fq
+        gate = self._fetch_gate("head[1]")
         with w.block("if lines_used or acc_cycle == cycle:"):
             w.line("cycle += 1")
         with w.block("else:"):
@@ -476,11 +481,9 @@ class CodegenPass:
                 w.line("t = head[3]")
                 with w.block("if not head[4]:"):
                     w.line("t += 1")
-                w.line("first = head[1]")
-                with w.block(f"if first >= {gate_n}:"):
-                    w.line(f"g = {gate_ring}[{_ring_index('first', gate_n)}]")
-                    with w.block("if g > t:"):
-                        w.line("t = g")
+                w.line(f"g = {gate}")
+                with w.block("if g > t:"):
+                    w.line("t = g")
                 w.line("av = line_avail_get(head[0])")
                 with w.block("if av is not None and av > t:"):
                     w.line("t = av")
@@ -748,14 +751,27 @@ class CodegenPass:
             )
             self._emit_fdip_prefetch(w, "seg_line")
             w.line("i_pcgen += count")
+            # PC generation stalls on an event until its branch is
+            # admitted, so at most one resteer is ever pending.
             with w.block("if acc_event:"):
-                w.lines("pending_events[acc_ei] = acc_event", "pcgen_stalled = True")
+                w.lines("pend_j = acc_ei", "pend_kind = acc_event", "pcgen_stalled = True")
             with w.block("else:"):
                 w.line("pcgen_ready = cycle + 1 + acc_bubbles")
         with w.block("else:"):
             w.line("i_pcgen = n")
 
     # -- fetch + backend admit + d-side memory ----------------------------
+
+    def _fetch_gate(self, first: str) -> str:
+        """Inline ``backend.fetch_gate(first)``: the dispatch cycle of the
+        instruction a frontend queue earlier (OoO), the commit cycle of
+        the one a window earlier (ideal). Before that instruction exists
+        the index falls in the timeline's tail of -1, which no cycle is
+        below, as the reference's ``index < size`` test returns 0."""
+        p = self.plan
+        if p.ideal_backend:
+            return f"K[{first} - {p.bk_window}]"
+        return f"D[{first} - {p.bk_fq}]"
 
     def _emit_ifetch(self, w: _Writer) -> None:
         """Inline MemoryHierarchy.ifetch -> avail for head line hline."""
@@ -834,29 +850,37 @@ class CodegenPass:
                     w.line("l1d_prefetch(pfl, issue)")
         w.line("dk += 1")
 
+    def _emit_sources(self, w: _Writer) -> None:
+        """Raise ``ready`` to both sources' ready cycles. ``regs`` sits
+        one slot up from the register file, so a source of -1 reads its
+        zero slot, which no ``ready`` (at least 1) is below."""
+        w.line("r = regs[src1s[j2] + 1]")
+        with w.block("if r > ready:"):
+            w.line("ready = r")
+        w.line("r = regs[src2s[j2] + 1]")
+        with w.block("if r > ready:"):
+            w.line("ready = r")
+
     def _emit_admit_ooo(self, w: _Writer) -> None:
+        """Inline ``OoOBackend.admit`` on the run's timelines: ``D[j]``
+        is instruction j's dispatch cycle and ``K[j]`` its commit cycle,
+        so the dispatch-width and frontend-queue rings read ``D`` and the
+        commit-width and ROB rings ``K``, one width, queue or ROB back.
+        For the first instructions of the run the index falls in the
+        tail of -1, which no cycle is below, as the reference's
+        ``index >= size`` tests ignore its rings."""
         p = self.plan
-        bw, rob, fq = p.bk_width, p.bk_rob, p.bk_fq
-        w.line(f"bwx = {_ring_index('j2', bw)}")
-        w.line(f"robx = {_ring_index('j2', rob)}")
+        bw, rob = p.bk_width, p.bk_rob
         w.line("dispatch = decode_ready + 1")
-        with w.block(f"if j2 >= {bw}:"):
-            w.line("prevd = disp_ring[bwx] + 1")
-            with w.block("if prevd > dispatch:"):
-                w.line("dispatch = prevd")
-        with w.block(f"if j2 >= {rob}:"):
-            w.line("rob_free = commit_ring[robx]")
-            with w.block("if rob_free > dispatch:"):
-                w.line("dispatch = rob_free")
-        w.line("disp_ring[bwx] = dispatch")
-        w.line(f"fq_ring[{_ring_index('j2', fq)}] = dispatch")
+        w.line(f"prevd = D[j2 - {bw}] + 1")
+        with w.block("if prevd > dispatch:"):
+            w.line("dispatch = prevd")
+        w.line(f"rob_free = K[j2 - {rob}]")
+        with w.block("if rob_free > dispatch:"):
+            w.line("dispatch = rob_free")
+        w.line("D[j2] = dispatch")
         w.line("ready = dispatch + 1")
-        w.line("s1 = src1s[j2]")
-        with w.block("if s1 >= 0 and reg_ready[s1] > ready:"):
-            w.line("ready = reg_ready[s1]")
-        w.line("s2 = src2s[j2]")
-        with w.block("if s2 >= 0 and reg_ready[s2] > ready:"):
-            w.line("ready = reg_ready[s2]")
+        self._emit_sources(w)
         with w.block("if loads_col[j2]:"):
             w.line(f"lslot = nloads % {p.bk_load_ports}")
             w.line("lr = load_ring[lslot] + 1")
@@ -883,31 +907,25 @@ class CodegenPass:
                 w.line(f"complete = ready + {p.bk_alu_latency}")
         w.line("d = dsts[j2]")
         with w.block("if d >= 0:"):
-            w.line("reg_ready[d] = complete")
+            w.line("regs[d + 1] = complete")
         w.line("commit = complete if complete >= last_commit else last_commit")
-        with w.block(f"if j2 >= {bw}:"):
-            w.line("prevc = cw_ring[bwx] + 1")
-            with w.block("if prevc > commit:"):
-                w.line("commit = prevc")
-        w.line("cw_ring[bwx] = commit")
-        w.line("commit_ring[robx] = commit")
+        w.line(f"prevc = K[j2 - {bw}] + 1")
+        with w.block("if prevc > commit:"):
+            w.line("commit = prevc")
+        w.line("K[j2] = commit")
         w.line("last_commit = commit")
 
     def _emit_admit_ideal(self, w: _Writer) -> None:
-        p = self.plan
+        """Inline ``IdealBackend.admit``; ``K[j]`` is instruction j's
+        commit cycle (the window's ring, see :meth:`_fetch_gate`)."""
         w.line("ready = decode_ready + 1")
-        w.line("s1 = src1s[j2]")
-        with w.block("if s1 >= 0 and reg_ready[s1] > ready:"):
-            w.line("ready = reg_ready[s1]")
-        w.line("s2 = src2s[j2]")
-        with w.block("if s2 >= 0 and reg_ready[s2] > ready:"):
-            w.line("ready = reg_ready[s2]")
+        self._emit_sources(w)
         w.line("complete = ready + 1")
         w.line("d = dsts[j2]")
         with w.block("if d >= 0:"):
-            w.line("reg_ready[d] = complete")
+            w.line("regs[d + 1] = complete")
         w.line("commit = complete if complete >= last_commit else last_commit")
-        w.line(f"commit_ring[{_ring_index('j2', p.bk_window)}] = commit")
+        w.line("K[j2] = commit")
         w.line("last_commit = commit")
 
     def emit_fetch(self, w: _Writer) -> None:
@@ -930,14 +948,7 @@ class CodegenPass:
             with w.block("if il_used & il_bit:"):
                 w.line("break")
             w.line("first = head[1]")
-            # fetch_gate inline
-            if p.ideal_backend:
-                gate_ring = f"commit_ring[{_ring_index('first', p.bk_window)}]"
-                gate_min = p.bk_window
-            else:
-                gate_ring = f"fq_ring[{_ring_index('first', p.bk_fq)}]"
-                gate_min = p.bk_fq
-            with w.block(f"if first >= {gate_min} and {gate_ring} > cycle:"):
+            with w.block(f"if {self._fetch_gate('first')} > cycle:"):
                 w.line("break")
             w.line("avail = line_avail_get(hline)")
             with w.block("if avail is None:"):
@@ -958,22 +969,23 @@ class CodegenPass:
                     self._emit_admit_ideal(w)
                 else:
                     self._emit_admit_ooo(w)
-                with w.block("if pending_events:"):
-                    w.line("kind = pending_events.pop(j2, None)")
-                    with w.block("if kind is not None:"):
-                        with w.block("if kind == 2:"):
-                            if p.early_resteer:
-                                w.line("resteer = decode_ready - 2")
-                                with w.block("if resteer < cycle:"):
-                                    w.line("resteer = cycle")
-                            else:
-                                w.line("resteer = decode_ready")
-                        with w.block("else:"):
-                            w.line("resteer = complete")
-                        w.line("resume = resteer + 1")
-                        with w.block("if resume > pcgen_ready:"):
-                            w.line("pcgen_ready = resume")
-                        w.line("pcgen_stalled = False")
+            # The pending resteer (see emit_access_commit): its branch
+            # ends its FTQ entry, so the group that admits it ends with
+            # it, and ``complete`` is still the branch's.
+            with w.block("if j2 == pend_j:"):
+                with w.block("if pend_kind == 2:"):
+                    if p.early_resteer:
+                        w.line("resteer = decode_ready - 2")
+                        with w.block("if resteer < cycle:"):
+                            w.line("resteer = cycle")
+                    else:
+                        w.line("resteer = decode_ready")
+                with w.block("else:"):
+                    w.line("resteer = complete")
+                w.line("resume = resteer + 1")
+                with w.block("if resume > pcgen_ready:"):
+                    w.line("pcgen_ready = resume")
+                w.line("pcgen_stalled = False")
             w.lines(
                 "admitted += take",
                 "insts_used += take",
@@ -992,18 +1004,32 @@ class CodegenPass:
 
     # -- finalization ------------------------------------------------------
 
+    def _emit_ring_tail(self, w: _Writer, ring: str, timeline: str, size: int) -> None:
+        """Store the last *size* entries of *timeline* in *ring* where
+        the reference's ``ring[index % size]`` writes would have left
+        them (a run shorter than the ring leaves the rest as it was)."""
+        with w.block(f"for jr in range(n - {size} if n > {size} else 0, n):"):
+            w.line(f"{ring}[{_ring_index('jr', size)}] = {timeline}[jr]")
+
     def _emit_finalize(self, w: _Writer) -> None:
         p = self.plan
         # Write the backend's run state back so a post-run inspection
         # sees what the interpreter leaves. The predictor objects are
         # left cold: their evolution lives in the plan.
         w.line("backend._last_commit = last_commit")
-        if not p.ideal_backend:
+        w.line("reg_ready[:] = regs[1:]")
+        if p.ideal_backend:
+            self._emit_ring_tail(w, "commit_ring", "K", p.bk_window)
+        else:
             w.lines(
                 "backend._loads = nloads",
                 "backend._stores = nstores",
                 "backend._count += admitted",
             )
+            self._emit_ring_tail(w, "disp_ring", "D", p.bk_width)
+            self._emit_ring_tail(w, "fq_ring", "D", p.bk_fq)
+            self._emit_ring_tail(w, "cw_ring", "K", p.bk_width)
+            self._emit_ring_tail(w, "commit_ring", "K", p.bk_rob)
         w.line("sc = st._counters")
         w.line("measured = {}")
         for local, name in COUNTERS:

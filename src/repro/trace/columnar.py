@@ -62,6 +62,7 @@ from repro.common.types import ILEN, LINE_BYTES
 from repro.memory.hierarchy import MemoryConfig
 from repro.memory.prefetch import IPStridePrefetcher
 from repro.memory.tlb import PAGE_BYTES
+from repro.trace.trace import narrow_ints
 
 #: Version of the columnar/predictor-plan layout *and* of the replica
 #: semantics. Bump whenever the derivation or the prediction engine
@@ -481,9 +482,12 @@ class BatchPlan:
         return cls(geometry, *cols)
 
     def payload(self) -> Dict[str, np.ndarray]:
-        dtypes = {"pt": np.uint8, "ras_ok": np.uint8, "dtlb_miss": np.uint8}
+        """The persisted arrays, each in the narrowest integer type that
+        holds it (:func:`~repro.trace.trace.narrow_ints`); an empty one
+        keeps the type it always had."""
+        empty = {"pt": np.uint8, "ras_ok": np.uint8, "dtlb_miss": np.uint8}
         return {
-            k: np.asarray(getattr(self, k), dtype=dtypes.get(k, np.int64))
+            k: narrow_ints(getattr(self, k), empty.get(k, np.int64))
             for k in self.PAYLOAD_KEYS
         }
 

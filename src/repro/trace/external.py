@@ -10,6 +10,8 @@ optional columns (default 0 / -1 for registers)::
 
     dst, src1, src2, is_load, is_store, maddr
 
+A register operand is -1 (none) or 0..31; any other value is rejected.
+
 ``pc``/``target``/``maddr`` accept decimal or 0x-prefixed hex. ``btype``
 accepts the numeric :class:`~repro.common.types.BranchType` value or its
 name (``COND_DIRECT``, ``RETURN``, ...; case-insensitive). Blank lines
@@ -37,7 +39,7 @@ import lzma
 from typing import Dict, Iterator, Optional, Tuple
 
 from repro.common.types import BranchType
-from repro.trace.trace import NO_REG, Trace
+from repro.trace.trace import NO_REG, NUM_REGS, Trace
 
 REQUIRED_COLUMNS = ("pc", "btype", "taken", "target")
 OPTIONAL_DEFAULTS: Dict[str, int] = {
@@ -175,6 +177,12 @@ def iter_csv_records(handle) -> Iterator[Record]:
             optional[column] = (
                 _parse_int(raw, line_no, column) if raw.strip() else default
             )
+        for column in ("dst", "src1", "src2"):
+            if not NO_REG <= optional[column] < NUM_REGS:
+                raise TraceFormatError(
+                    f"line {line_no}: register {optional[column]} in column "
+                    f"{column!r} is not {NO_REG} (none) or 0..{NUM_REGS - 1}"
+                )
         yield (
             _parse_int(row["pc"], line_no, "pc"),
             int(_parse_btype(row["btype"], line_no)),

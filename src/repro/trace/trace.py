@@ -27,6 +27,32 @@ NUM_REGS = 32
 #: Sentinel for "no register operand".
 NO_REG = -1
 
+#: The signed integer types a stored column narrows to, narrowest first,
+#: with the range each holds.
+_NARROW_TYPES = tuple(
+    (np.iinfo(t).min, np.iinfo(t).max, t) for t in (np.int8, np.int16, np.int32)
+)
+
+
+def narrow_ints(values, empty=np.int64) -> np.ndarray:
+    """*values* as an array of the narrowest signed integer type that
+    holds them all: int8, int16 or int32, else int64. An empty column
+    keeps the type *empty*.
+
+    Stored columns are narrowed because compressing them costs more than
+    anything else in a store, and less data compresses faster; loads
+    read them back through ``tolist()``, which yields the same Python
+    ints whatever the stored type.
+    """
+    arr = np.asarray(values, dtype=np.int64)
+    if not arr.size:
+        return arr.astype(empty)
+    lo, hi = arr.min(), arr.max()
+    for tmin, tmax, t in _NARROW_TYPES:
+        if tmin <= lo and hi <= tmax:
+            return arr.astype(t)
+    return arr
+
 
 @dataclass
 class Trace:
@@ -120,6 +146,12 @@ class Trace:
         for col in self._COLUMNS:
             if len(getattr(self, col)) != n:
                 raise ValueError(f"column {col} length mismatch")
+        for col in ("dst", "src1", "src2"):
+            regs = getattr(self, col)
+            if regs and not (NO_REG <= min(regs) and max(regs) < NUM_REGS):
+                raise ValueError(
+                    f"column {col} holds a register outside {NO_REG}..{NUM_REGS - 1}"
+                )
         for i in range(n - 1):
             if self.next_pc(i) != self.pc[i + 1]:
                 raise ValueError(
@@ -181,8 +213,9 @@ class Trace:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Serialize to a compressed ``.npz``."""
-        arrays = {col: np.asarray(getattr(self, col), dtype=np.int64) for col in self._COLUMNS}
+        """Serialize to a compressed ``.npz``, each column in the
+        narrowest integer type that holds it (:func:`narrow_ints`)."""
+        arrays = {col: narrow_ints(getattr(self, col)) for col in self._COLUMNS}
         np.savez_compressed(path, name=np.array(self.name), **arrays)
 
     @classmethod

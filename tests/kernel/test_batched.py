@@ -9,7 +9,9 @@ structure samples — that a run without a plan builds it inline with the
 same result, that the interpreter still serves unsupported configs, and
 that a plan for the wrong geometry or trace slice is refused. A
 hand-built simulator whose memory differs from its config's runs on the
-kernel too, stride guard included.
+kernel too, stride guard included, and so does one whose backend has
+admitted instructions already; after a run the kernel leaves every
+backend field as the interpreter does.
 """
 
 import pytest
@@ -222,6 +224,85 @@ def test_stride_guard_fires_and_stays_exact(monkeypatch):
     assert engine == "batched"
     assert len(calls) == 1 and calls[0] > 0  # fired once, mid-run
     assert_identical(batched, interp)
+
+
+# -- backend state: what a run leaves -------------------------------------------
+
+
+def _backend_state(backend):
+    """Every field of *backend* but its memory (the rings are copied)."""
+    return {
+        name: list(value) if isinstance(value, list) else value
+        for name, value in vars(backend).items()
+        if name != "memory"
+    }
+
+
+@pytest.mark.parametrize("warm", [0, 500], ids=["fresh", "prewarmed"])
+@pytest.mark.parametrize("length", [L, 200], ids=["long", "short"])
+@pytest.mark.parametrize("ideal", [False, True], ids=["ooo", "ideal"])
+def test_kernel_leaves_the_interpreters_backend_state(
+    trace, monkeypatch, ideal, length, warm
+):
+    """The kernel admits on per-run timelines and writes their tails
+    back into the backend's rings, with the registers, the load and
+    store rings, the last commit and the counts: every backend field
+    ends as the interpreter leaves it. A run shorter than a ring (200
+    instructions, ROB 352, window 8192) leaves the rest of that ring as
+    it was, which a pre-warmed backend makes visible."""
+    config = IDEAL_BACKEND if ideal else ibtb(16)
+    sliced = trace.slice(0, length)
+    states, results = {}, {}
+    for mode in ("interp", "batched"):
+        monkeypatch.setenv(KERNEL_ENV, mode)
+        sim = hand_built(config, sliced, MemoryConfig(scale=config.scale), warm=warm)
+        before = _backend_state(sim.backend)
+        assert sim.kernel_engine() == mode
+        results[mode] = sim.run(warmup=length // 4)
+        states[mode] = _backend_state(sim.backend)
+    assert_identical(results["batched"], results["interp"])
+    assert states["batched"] == states["interp"]
+    assert states["batched"] != before  # the run moved the backend
+    expected = {"_reg_ready", "_commit_ring", "_last_commit", "window"}
+    if not ideal:
+        expected = (expected - {"window"}) | {
+            "_commit_width_ring", "_dispatch_width_ring", "_fq_ring",
+            "_load_ring", "_store_ring", "_loads", "_stores", "_count",
+        }
+    assert expected <= set(states["interp"])
+
+
+@pytest.mark.parametrize("ideal", [False, True], ids=["ooo", "ideal"])
+def test_prewarmed_backend_runs_on_the_kernel(trace, monkeypatch, ideal):
+    """A hand-built simulator whose backend already admitted
+    instructions reaches the kernel, and both engines honour that state:
+    the same SimResult, which differs from a fresh backend's."""
+    config = IDEAL_BACKEND if ideal else ibtb(16)
+    memory_config = MemoryConfig(scale=config.scale)
+    sim = hand_built(config, trace, memory_config, warm=2_000)
+    backend = sim.backend
+    assert any(backend._reg_ready) and any(backend._commit_ring)
+    assert backend._last_commit > 0
+    if not ideal:
+        assert backend._loads and backend._stores and backend._count == 2_000
+        assert any(backend._dispatch_width_ring) and any(backend._fq_ring)
+        assert any(backend._load_ring) and any(backend._store_ring)
+    (_, interp), (engine, batched) = _both_engines(
+        config, trace, memory_config, monkeypatch, warm=2_000
+    )
+    assert engine == "batched"
+    assert_identical(batched, interp)
+    # The state mattered: a short run, measured whole, ends later than
+    # on a fresh backend.
+    short = trace.slice(0, 500)
+    cycles = {}
+    for warm in (2_000, 0):
+        for mode in ("interp", "batched"):
+            monkeypatch.setenv(KERNEL_ENV, mode)
+            result = hand_built(config, short, memory_config, warm=warm).run()
+            cycles.setdefault(warm, set()).add(result.cycles)
+    assert len(cycles[0]) == len(cycles[2_000]) == 1
+    assert cycles[2_000] != cycles[0]
 
 
 # -- degenerate slices: both engines agree exactly ----------------------------

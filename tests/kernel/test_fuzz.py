@@ -19,9 +19,12 @@ DRAM latency up to 400 — so prefetches are dropped on full MSHRs, lines
 are evicted while their fills are in flight, and the kernel's flat miss
 paths, its per-run data-side columns and its stride guard all run. The
 smallest hierarchies can thrash past the wedge guard's cycle budget;
-both engines must then trip it at the same cycle.
+both engines must then trip it at the same cycle. Its backend may have
+admitted instructions already (``prewarm``): both engines start from
+that backend's registers, rings, last commit and load/store counts.
 """
 
+import random
 import socket
 
 from hypothesis import HealthCheck, given, settings
@@ -142,15 +145,36 @@ def memories(draw):
     )
 
 
-def hand_built(config, trace, memory_config, backend_memory=True, **backend_kw):
+def prewarm(backend, count, seed=0):
+    """Admit *count* drawn instructions to *backend*, as a simulator that
+    already ran would leave it: registers, rings and last commit are
+    non-zero, and an OoO backend has counted loads and stores (which
+    went through its memory)."""
+    rng = random.Random(seed)
+    decode_ready = 0
+    for index in range(count):
+        decode_ready += rng.randint(0, 2)
+        kind = rng.random()
+        backend.admit(
+            index, decode_ready, 0x9000 + 4 * index,
+            kind < 0.15, 0.15 <= kind < 0.45, 0.45 <= kind < 0.6,
+            rng.randint(-1, 31), rng.randint(-1, 31), rng.randint(-1, 31),
+            0x40000 + 8 * rng.randrange(4096),
+        )
+
+
+def hand_built(config, trace, memory_config, backend_memory=True, warm=0,
+               **backend_kw):
     """A simulator over a hierarchy of *memory_config*, wired as
     ``build_simulator`` wires one (an OoO backend loads through it unless
-    *backend_memory* is false); *backend_kw* go to the backend."""
+    *backend_memory* is false); *backend_kw* go to the backend, which
+    has admitted *warm* instructions already (:func:`prewarm`)."""
     memory = MemoryHierarchy(memory_config)
     if config.ideal_backend:
         backend = IdealBackend(**backend_kw)
     else:
         backend = OoOBackend(memory=memory if backend_memory else None, **backend_kw)
+    prewarm(backend, warm)
     return Simulator(
         trace=trace,
         btb=config.build_btb(),
@@ -174,16 +198,17 @@ def hand_built(config, trace, memory_config, backend_memory=True, **backend_kw):
     length=st.integers(200, 2_500),
     warmup_share=st.sampled_from([0, 4, 2]),
     seed=st.integers(0, 2 ** 16),
+    warm=st.sampled_from([0, 0, 40, 700]),
 )
 def test_kernel_matches_interp_on_any_memory(
-    config, memory, spec, length, warmup_share, seed, monkeypatch
+    config, memory, spec, length, warmup_share, seed, warm, monkeypatch
 ):
     trace = synthesize_trace(build_program(spec), length, seed=seed)
     warmup = length // warmup_share if warmup_share else 0
     results = {}
     for mode in ("interp", "batched"):
         monkeypatch.setenv(KERNEL_ENV, mode)
-        sim = hand_built(config, trace, memory)
+        sim = hand_built(config, trace, memory, warm=warm)
         assert sim.kernel_engine() == mode
         try:
             results[mode] = sim.run(warmup=warmup)

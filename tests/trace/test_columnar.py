@@ -45,6 +45,8 @@ from repro.trace.external import save_trace_csv
 from repro.trace.trace import Trace
 from repro.trace.workloads import get_trace
 
+from tests.trace.test_trace import narrowest, wide_trace
+
 
 @pytest.fixture
 def store(tmp_path, monkeypatch):
@@ -269,6 +271,77 @@ def test_batch_plan_payload_roundtrip():
     for key in BatchPlan.PAYLOAD_KEYS:
         assert getattr(clone, key) == getattr(plan, key)
     assert clone.geometry == geom
+
+
+#: Payload columns stored as uint8 before columns were narrowed (an
+#: empty one still is).
+BYTE_COLUMNS = ("pt", "ras_ok", "dtlb_miss")
+
+
+def _plan_cases():
+    geom = batch_geometry(MachineConfig(bp_size_kb=64))
+    traces = {
+        "synthetic": get_trace("web_frontend", 4_000),
+        "empty": Trace(name="empty"),
+        "wide": wide_trace(),
+    }
+    return geom, {case: build_batch_plan(t, geom) for case, t in traces.items()}
+
+
+def _assert_same_plan(clone, plan, geom):
+    assert clone.geometry == geom
+    for key in BatchPlan.PAYLOAD_KEYS:
+        values = getattr(clone, key)
+        assert values == getattr(plan, key), key
+        assert all(type(v) is int for v in values), key
+
+
+@pytest.mark.parametrize("case", ["synthetic", "empty", "wide"])
+def test_batch_plan_payload_is_narrow_and_loads_equal(case, tmp_path):
+    """Each payload column is stored in the narrowest signed type that
+    holds it (an empty one keeps its old type) and loads back equal, as
+    Python ints, also through the disk cache's plans tier."""
+    from repro.core.exec.diskcache import DiskCache
+
+    geom, plans = _plan_cases()
+    plan = plans[case]
+    payload = plan.payload()
+    for key in BatchPlan.PAYLOAD_KEYS:
+        values = getattr(plan, key)
+        if values:
+            expected = narrowest(values)
+        else:
+            expected = np.uint8 if key in BYTE_COLUMNS else np.int64
+        assert payload[key].dtype == expected, key
+    if case == "wide":
+        assert payload["line_ix"].dtype == np.int64
+    _assert_same_plan(BatchPlan.from_payload(geom, payload), plan, geom)
+    disk = DiskCache(tmp_path / "cache")
+    disk.store_plan("k", payload, {"case": case})
+    arrays, meta = disk.load_plan("k")
+    assert meta == {"case": case}
+    assert {k: a.dtype for k, a in arrays.items()} == {k: a.dtype for k, a in payload.items()}
+    _assert_same_plan(BatchPlan.from_payload(geom, arrays), plan, geom)
+
+
+@pytest.mark.parametrize("case", ["synthetic", "empty", "wide"])
+def test_batch_plan_loads_int64_payloads_written_before_narrowing(case, tmp_path):
+    """A plan entry written the old way (int64 columns, uint8 flags)
+    still loads equal."""
+    from repro.core.exec.diskcache import DiskCache
+
+    geom, plans = _plan_cases()
+    plan = plans[case]
+    old = {
+        key: np.asarray(getattr(plan, key),
+                        dtype=np.uint8 if key in BYTE_COLUMNS else np.int64)
+        for key in BatchPlan.PAYLOAD_KEYS
+    }
+    _assert_same_plan(BatchPlan.from_payload(geom, old), plan, geom)
+    disk = DiskCache(tmp_path / "cache")
+    disk.store_plan("k", old, {})
+    arrays, _meta = disk.load_plan("k")
+    _assert_same_plan(BatchPlan.from_payload(geom, arrays), plan, geom)
 
 
 def test_batch_plan_holds_offsets():

@@ -58,6 +58,23 @@ def test_optional_columns_parsed(tmp_path):
     assert trace.maddr[0] == 0x9000
 
 
+@pytest.mark.parametrize("column,value", [("dst", 32), ("src1", -2), ("src2", 99)])
+def test_register_outside_the_file_raises_with_line_number(tmp_path, column, value):
+    """A register operand is -1 (none) or one of the 32 registers: the
+    simulators index the scoreboard with it (the kernel one slot up, so
+    -2 would read register 31 where the interpreter reads nothing)."""
+    fields = {"dst": -1, "src1": 1, "src2": -1}
+    fields[column] = value
+    path = write(
+        tmp_path,
+        "pc,btype,taken,target,dst,src1,src2\n"
+        "0x100,NONE,0,0,3,1,2\n"
+        f"0x104,NONE,0,0,{fields['dst']},{fields['src1']},{fields['src2']}\n",
+    )
+    with pytest.raises(TraceFormatError, match=f"line 3: register {value} in column '{column}'"):
+        load_trace_csv(path)
+
+
 def test_missing_required_column_raises(tmp_path):
     path = write(tmp_path, "pc,btype,taken\n0x100,NONE,0\n")
     with pytest.raises(TraceFormatError, match="missing required"):

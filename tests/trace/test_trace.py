@@ -1,5 +1,6 @@
 """Unit tests for the Trace container."""
 
+import numpy as np
 import pytest
 
 from repro.common.types import BranchType
@@ -50,6 +51,17 @@ def test_validate_rejects_column_length_mismatch():
     tr.append(pc=0x100)
     tr.maddr.append(0)  # now one column is longer
     with pytest.raises(ValueError):
+        tr.validate()
+
+
+@pytest.mark.parametrize("column,value", [("dst", 32), ("src1", -2), ("src2", 40)])
+def test_validate_rejects_register_outside_the_file(column, value):
+    """Operands are -1 (none) or 0..31; the kernel reads sources one
+    slot up, so -2 would read register 31 where the interpreter reads
+    nothing."""
+    tr = make_trace(straight(0x100, 3))
+    getattr(tr, column)[1] = value
+    with pytest.raises(ValueError, match=f"column {column} holds a register"):
         tr.validate()
 
 
@@ -130,6 +142,87 @@ def test_load_gives_equal_columns_of_python_ints(tmp_path):
     tr.save(path)
     back = Trace.load(path)
     assert back.name == tr.name
+    for col in Trace._COLUMNS:
+        values = getattr(back, col)
+        assert values == getattr(tr, col), col
+        assert all(type(v) is int for v in values), col
+
+
+# -- narrow stored columns -------------------------------------------------
+
+
+def narrowest(values):
+    """The narrowest signed type holding *values*, one value at a time."""
+    for t in (np.int8, np.int16, np.int32):
+        info = np.iinfo(t)
+        if all(info.min <= v <= info.max for v in values):
+            return t
+    return np.int64
+
+
+def wide_trace(n=300):
+    """A trace whose PCs, targets and addresses sit above 2**40, as
+    corpus traces' do: those columns need 64 bits."""
+    tr = Trace(name="wide")
+    pc = 2 ** 40
+    for k in range(n):
+        if k % 7 == 6:
+            target = pc + 0x1000
+            tr.append(pc, BranchType.UNCOND_DIRECT, True, target, dst=k % 32)
+            pc = target
+        else:
+            tr.append(pc, dst=k % 32, src1=k % 5 - 1, src2=-1,
+                      is_load=k % 3 == 0, maddr=2 ** 40 + 64 * k + k % 3)
+            pc += 4
+    return tr
+
+
+def narrow_cases():
+    from repro.trace.workloads import get_trace
+
+    return {
+        "synthetic": get_trace("web_frontend", 4_000),
+        "empty": Trace(name="empty"),
+        "wide": wide_trace(),
+    }
+
+
+@pytest.mark.parametrize("case", ["synthetic", "empty", "wide"])
+def test_save_stores_narrow_columns_that_load_equal(case, tmp_path):
+    tr = narrow_cases()[case]
+    path = str(tmp_path / "t.npz")
+    tr.save(path)
+    back = Trace.load(path)
+    assert back.name == tr.name
+    for col in Trace._COLUMNS:
+        values = getattr(back, col)
+        assert values == getattr(tr, col), col
+        assert all(type(v) is int for v in values), col
+    with np.load(path) as data:
+        stored = {col: data[col].dtype for col in Trace._COLUMNS}
+    for col in Trace._COLUMNS:
+        values = getattr(tr, col)
+        assert stored[col] == (narrowest(values) if values else np.int64), col
+    if case == "wide":
+        for col in ("pc", "target", "maddr"):
+            assert stored[col] == np.int64, col
+    if case == "synthetic":
+        for col in ("btype", "taken", "dst", "src1", "src2", "is_load", "is_store"):
+            assert stored[col] == np.int8, col
+
+
+@pytest.mark.parametrize("case", ["synthetic", "empty", "wide"])
+def test_load_reads_int64_entries_written_before_narrowing(case, tmp_path):
+    """Entries stored with every column widened to int64 (as stores did
+    before columns were narrowed) still load equal."""
+    tr = narrow_cases()[case]
+    path = str(tmp_path / "old.npz")
+    np.savez_compressed(
+        path,
+        name=np.array(tr.name),
+        **{col: np.asarray(getattr(tr, col), dtype=np.int64) for col in Trace._COLUMNS},
+    )
+    back = Trace.load(path)
     for col in Trace._COLUMNS:
         values = getattr(back, col)
         assert values == getattr(tr, col), col
