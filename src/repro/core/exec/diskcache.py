@@ -59,7 +59,7 @@ from typing import Dict, Iterator, Optional, Sequence
 
 from repro.core.exec.cachekey import CACHE_SCHEMA
 from repro.core.simulator import SimResult
-from repro.trace.trace import Trace
+from repro.trace.trace import Trace, save_npz
 
 #: Environment variable overriding the cache root directory.
 ENV_CACHE_DIR = "REPRO_CACHE_DIR"
@@ -252,11 +252,6 @@ class DiskCache:
         """The per-key write-lock sentinel guarding *path*."""
         return lock_path(path)
 
-    def _acquire_lock(self, path: Path) -> bool:
-        """Take the write lock for *path*; False when another writer holds
-        a fresh one (its content-addressed write will be identical)."""
-        return acquire_lock(path)
-
     def _atomic_write(self, path: Path, writer) -> bool:
         """Write via *writer(tmp_path)* then atomically rename into place.
 
@@ -378,17 +373,15 @@ class DiskCache:
         return arrays, meta
 
     def store_plan(self, key: str, arrays: Dict, meta: Dict) -> None:
-        """Store a batch-plan payload (compressed npz) with provenance."""
+        """Store a batch-plan payload (compressed npz, :func:`save_npz`)
+        with provenance."""
         import numpy as np
 
-        payload = dict(arrays)
-        payload["__meta__"] = np.array(json.dumps(meta, sort_keys=True))
-
-        def write(tmp: str) -> None:
-            with open(tmp, "wb") as fh:
-                np.savez_compressed(fh, **payload)
-
-        self._atomic_write(self.plan_path(key), write)
+        meta_array = np.array(json.dumps(meta, sort_keys=True))
+        self._atomic_write(
+            self.plan_path(key),
+            lambda tmp: save_npz(tmp, **arrays, __meta__=meta_array),
+        )
 
     def adopt_plan(self, key: str, blob: bytes) -> bool:
         """Adopt raw plan-entry bytes fetched from a remote store.

@@ -282,7 +282,7 @@ def fetch_batch_plan(point: SweepPoint, trace):
     backing corpus entry is gone.
     """
     from repro.core.passes.kernel import batch_geometry
-    from repro.trace.columnar import build_batch_plan
+    from repro.trace.columnar import build_batch_plan, build_plan_entry
 
     geometry = batch_geometry(point.config)
     memo_key = (point.workload, point.length, point.seed, geometry)
@@ -300,21 +300,22 @@ def fetch_batch_plan(point: SweepPoint, trace):
             blob = _remote_plan_fetcher(key)
             if blob and disk.adopt_plan(key, blob):
                 plan = _load_plan(disk, key, geometry, len(trace))
-    if plan is None:
+    if plan is None and disk is None:
         plan = build_batch_plan(trace, geometry)
-        if disk is not None:
-            source = "synth"
-            if point.workload.startswith(CORPUS_PREFIX):
-                spec = _corpus_resolve().corpus_point_spec(point.workload)
-                source = spec["content"]
-            meta = {
-                "workload": point.workload,
-                "length": point.length,
-                "seed": point.seed,
-                "geometry": geometry.key_fields(),
-                "source": source,
-            }
-            disk.store_plan(key, plan.payload(), meta)
+    elif plan is None:
+        plan, payload = build_plan_entry(trace, geometry)
+        source = "synth"
+        if point.workload.startswith(CORPUS_PREFIX):
+            spec = _corpus_resolve().corpus_point_spec(point.workload)
+            source = spec["content"]
+        meta = {
+            "workload": point.workload,
+            "length": point.length,
+            "seed": point.seed,
+            "geometry": geometry.key_fields(),
+            "source": source,
+        }
+        disk.store_plan(key, payload, meta)
     _plan_memo[memo_key] = plan
     return plan
 

@@ -190,12 +190,18 @@ class Simulator:
         A simulator runs on the kernel at most once: the kernel leaves
         the predictor objects cold, so continuing from its state would
         pair cold predictors with a warm BTB.
+
+        Either engine first checks the trace's register operands
+        (:meth:`~repro.trace.trace.Trace.check_registers`, memoized by
+        the trace's length) and raises ``ValueError`` before any cycle
+        runs.
         """
         if self._kernel_ran:
             raise RuntimeError(
                 "Simulator already ran on the kernel, which leaves its "
                 "predictors cold; build a new one to run again"
             )
+        self.trace.check_registers()
         if self.kernel_engine() == "interp":
             return self._run_interp(warmup, sample_structure)
         from repro.core.passes.kernel import batch_geometry, get_kernel

@@ -10,7 +10,7 @@ earliest completing one (bandwidth backpressure).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.common.assoc import SetAssociative
 from repro.common.stats import Stats
@@ -148,17 +148,6 @@ class Cache:
         """True when *addr*'s line is resident (ignores readiness)."""
         line = addr // LINE_BYTES
         return self.array.lookup(line, line, touch=False) is not None
-
-    def ready_cycle(self, addr: int, cycle: int) -> Optional[int]:
-        """Data-ready cycle if resident/in-flight, else None (no side
-        effects beyond LRU touch)."""
-        line = addr // LINE_BYTES
-        hit_ready = self.array.lookup(line, line)
-        if hit_ready is None:
-            return None
-        if hit_ready <= cycle:
-            return cycle + self.latency
-        return hit_ready
 
     @property
     def hit_rate(self) -> float:

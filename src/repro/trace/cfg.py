@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import floor
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from repro.trace.behavior import (
     NeverTaken,
     PatternBranch,
 )
+from repro.trace.trace import narrow_ints
 
 #: Base address of generated code.
 CODE_BASE = 0x100000
@@ -62,7 +63,9 @@ class MemBehavior:
     p_random: float = 0.0
 
     def address(self, visit: int, rng: SplitMix) -> int:
-        """Address of the *visit*-th dynamic execution."""
+        """Address of the *visit*-th dynamic execution. (The trace walker
+        computes the same addresses in numpy, drawing only where this
+        draws; ``tests/trace/reference_builder.py``'s walker calls this.)"""
         if self.p_random > 0.0 and rng.uniform() < self.p_random:
             return self.base + (rng.next_u64() % max(self.span, 8)) // 8 * 8
         return self.base + (visit * self.stride) % max(self.span, 8)
@@ -85,7 +88,8 @@ class Block:
     """A basic block: straight-line body plus one terminator.
 
     The body is rows ``first`` … ``first + count - 1`` of the program's
-    instruction columns, at PCs ``start_pc + k * ILEN``.
+    instruction columns, at PCs ``start_pc + k * ILEN``, and the
+    terminator follows it, at ``start_pc + count * ILEN``.
     ``term_type`` is ``BranchType.NONE`` for plain fall-through blocks
     (the block simply continues into the next one without a branch).
     """
@@ -102,11 +106,6 @@ class Block:
     def ninsts(self) -> int:
         """Total instructions including the terminator (if any)."""
         return self.count + (1 if self.term_type != BranchType.NONE else 0)
-
-    @property
-    def term_pc(self) -> int:
-        """PC of the terminator (only meaningful when one exists)."""
-        return self.start_pc + self.count * ILEN
 
     @property
     def end_pc(self) -> int:
@@ -134,7 +133,11 @@ class Function:
         return self.blocks[0].start_pc
 
 
-@dataclass
+def _no_rows() -> np.ndarray:
+    return np.zeros(0, dtype=np.int8)
+
+
+@dataclass(eq=False)
 class Program:
     """Complete static program: functions, a block address map, and
     every block body as flat per-instruction columns.
@@ -142,25 +145,32 @@ class Program:
     Row i of the columns is one instruction: ``kind[i]`` indexes
     :data:`KINDS`, ``dst[i]`` is −1 for stores, and ``mem[i]`` indexes
     ``mem_table`` (−1: no memory access). Many instructions share a
-    :class:`MemBehavior`, so the table holds each one once.
+    :class:`MemBehavior`, so the table holds each one once. The columns
+    are numpy arrays of the narrowest integer type that holds them;
+    :meth:`body` reads them as Python ints.
     """
 
     functions: List[Function]
-    kind: List[int] = field(default_factory=list)
-    dst: List[int] = field(default_factory=list)
-    src1: List[int] = field(default_factory=list)
-    src2: List[int] = field(default_factory=list)
-    mem: List[int] = field(default_factory=list)
+    kind: np.ndarray = field(default_factory=_no_rows)
+    dst: np.ndarray = field(default_factory=_no_rows)
+    src1: np.ndarray = field(default_factory=_no_rows)
+    src2: np.ndarray = field(default_factory=_no_rows)
+    mem: np.ndarray = field(default_factory=_no_rows)
     mem_table: List[MemBehavior] = field(default_factory=list)
     block_at: Dict[int, Block] = field(default_factory=dict)
+    #: Every block's behaviour objects, which a walk resets.
+    behaviors: List[Union[CondBehavior, IndirectBehavior]] = field(default_factory=list)
 
     def finalize(self) -> None:
-        """(Re)build the block address index."""
-        self.block_at = {
-            block.start_pc: block
-            for function in self.functions
-            for block in function.blocks
-        }
+        """(Re)build the block address index and the behaviour list."""
+        blocks = [block for function in self.functions for block in function.blocks]
+        self.block_at = {block.start_pc: block for block in blocks}
+        self.behaviors = [
+            behavior
+            for block in blocks
+            for behavior in (block.cond_behavior, block.indirect_behavior)
+            if behavior is not None
+        ]
 
     @property
     def entry(self) -> Function:
@@ -174,16 +184,20 @@ class Program:
         """*block*'s instructions as fresh :class:`StaticInst` records: a
         read-only view of the columns for inspection, not for hot paths."""
         mems = self.mem_table
+        rows = slice(block.first, block.first + block.count)
         return [
             StaticInst(
                 block.start_pc + k * ILEN,
-                KINDS[self.kind[i]],
-                self.dst[i],
-                self.src1[i],
-                self.src2[i],
-                mems[self.mem[i]] if self.mem[i] >= 0 else None,
+                KINDS[kind],
+                dst,
+                src1,
+                src2,
+                mems[mem] if mem >= 0 else None,
             )
-            for k, i in enumerate(range(block.first, block.first + block.count))
+            for k, (kind, dst, src1, src2, mem) in enumerate(
+                zip(*(column[rows].tolist() for column in
+                      (self.kind, self.dst, self.src1, self.src2, self.mem)))
+            )
         ]
 
 
@@ -593,11 +607,11 @@ class ProgramBuilder:
             + np.where(hot, hot_row, np.where(warm, _WARM + warm_row, _COLD)).astype(np.int64),
         )
         row[~(load | store)] = -1
-        program.kind = kind.tolist()
-        program.dst = dst.tolist()
-        program.src1 = src1.tolist()
-        program.src2 = src2.tolist()
-        program.mem = row.tolist()
+        program.kind = kind
+        program.dst = narrow_ints(dst)
+        program.src1 = narrow_ints(src1)
+        program.src2 = narrow_ints(src2)
+        program.mem = narrow_ints(row)
 
     # -- behaviours ------------------------------------------------------------
 

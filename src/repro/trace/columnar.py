@@ -50,8 +50,7 @@ backing corpus entry disappears.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
-from operator import getitem, or_
+from operator import getitem
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -117,11 +116,12 @@ def _derive(pc: np.ndarray, btype: np.ndarray, taken: np.ndarray,
 
 
 def lower_trace(trace) -> ColumnarTrace:
-    """Lower a :class:`~repro.trace.trace.Trace` into columnar form."""
-    pc = np.asarray(trace.pc, dtype=np.int64)
-    btype = np.asarray(trace.btype, dtype=np.int64)
-    taken = np.asarray(trace.taken, dtype=np.int64)
-    target = np.asarray(trace.target, dtype=np.int64)
+    """Lower a :class:`~repro.trace.trace.Trace` into columnar form, from
+    its arrays (:meth:`~repro.trace.trace.Trace.array`)."""
+    pc, btype, taken, target = (
+        trace.array(col).astype(np.int64, copy=False)
+        for col in ("pc", "btype", "taken", "target")
+    )
     next_pc = np.where(taken != 0, target, pc + ILEN)
     next_br, run_end, line_ix = _derive(pc, btype, taken, target)
     return ColumnarTrace(
@@ -317,8 +317,8 @@ def data_accesses(trace) -> Tuple[List[int], List[int]]:
     """PCs and addresses of *trace*'s loads and stores, in program order
     (the order the back end admits them, and so the order they reach
     the DTLB and the stride prefetcher)."""
-    mem_op = list(map(or_, trace.is_load, trace.is_store))
-    return list(compress(trace.pc, mem_op)), list(compress(trace.maddr, mem_op))
+    mem_op = np.flatnonzero(trace.array("is_load") | trace.array("is_store"))
+    return trace.take("pc", mem_op), trace.take("maddr", mem_op)
 
 
 def stride_step(table: Dict, entries: int, pc: int, addr: int) -> int:
@@ -452,6 +452,9 @@ class BatchPlan:
     PAYLOAD_KEYS = ("line_ix", "next_br", "run_end", "pt", "ras_ok",
                     "ind_pred", "dtlb_miss", "dstride", "dgeom")
 
+    #: The type an empty payload array keeps (:func:`narrow_ints`).
+    _EMPTY = {"pt": np.uint8, "ras_ok": np.uint8, "dtlb_miss": np.uint8}
+
     def __init__(self, geometry: PredictorGeometry, line_ix, next_br,
                  run_end, pt, ras_ok, ind_pred, dtlb_miss, dstride,
                  dgeom) -> None:
@@ -468,12 +471,19 @@ class BatchPlan:
 
     @classmethod
     def from_parts(cls, col: ColumnarTrace, plan: PredictorPlan,
-                   data: Tuple[List[int], List[int]]) -> "BatchPlan":
+                   data: Tuple[List[int], List[int]]
+                   ) -> Tuple["BatchPlan", Dict[str, np.ndarray]]:
+        """The plan, and the numpy arrays its first six columns were
+        made from (:func:`build_plan_entry` stores those)."""
         idx = np.arange(col.n, dtype=np.int64)
-        return cls(plan.geometry, col.line_ix.tolist(),
-                   (col.next_br - idx).tolist(), (col.run_end - idx).tolist(),
-                   plan.pt.tolist(), plan.ras_ok.tolist(),
-                   plan.ind_pred.tolist(), *data, list(DATA_GEOMETRY))
+        derived = {
+            "line_ix": col.line_ix, "next_br": col.next_br - idx,
+            "run_end": col.run_end - idx, "pt": plan.pt,
+            "ras_ok": plan.ras_ok, "ind_pred": plan.ind_pred,
+        }
+        out = cls(plan.geometry, *(a.tolist() for a in derived.values()),
+                  *data, list(DATA_GEOMETRY))
+        return out, derived
 
     @classmethod
     def from_payload(cls, geometry: PredictorGeometry,
@@ -481,20 +491,42 @@ class BatchPlan:
         cols = [np.asarray(arrays[k]).tolist() for k in cls.PAYLOAD_KEYS]
         return cls(geometry, *cols)
 
-    def payload(self) -> Dict[str, np.ndarray]:
-        """The persisted arrays, each in the narrowest integer type that
-        holds it (:func:`~repro.trace.trace.narrow_ints`); an empty one
-        keeps the type it always had."""
-        empty = {"pt": np.uint8, "ras_ok": np.uint8, "dtlb_miss": np.uint8}
+    @classmethod
+    def narrow(cls, columns) -> Dict[str, np.ndarray]:
+        """*columns* (lists or arrays, by payload key) as the payload
+        stores them: each in the narrowest integer type that holds it
+        (:func:`~repro.trace.trace.narrow_ints`); an empty one keeps the
+        type it always had."""
         return {
-            k: narrow_ints(getattr(self, k), empty.get(k, np.int64))
-            for k in self.PAYLOAD_KEYS
+            k: narrow_ints(columns[k], cls._EMPTY.get(k, np.int64))
+            for k in cls.PAYLOAD_KEYS
         }
+
+    def payload(self) -> Dict[str, np.ndarray]:
+        """The persisted arrays, narrowed from the plan's lists."""
+        return self.narrow({k: getattr(self, k) for k in self.PAYLOAD_KEYS})
+
+
+def _build(trace, geometry: PredictorGeometry
+           ) -> Tuple[BatchPlan, Dict[str, np.ndarray]]:
+    col = lower_trace(trace)
+    return BatchPlan.from_parts(col, build_predictor_plan(col, geometry),
+                                build_data_plan(*data_accesses(trace)))
 
 
 def build_batch_plan(trace, geometry: PredictorGeometry) -> BatchPlan:
     """Lower *trace*, replay the predictors for *geometry* and the
     data side for :data:`DATA_GEOMETRY`."""
-    col = lower_trace(trace)
-    return BatchPlan.from_parts(col, build_predictor_plan(col, geometry),
-                                build_data_plan(*data_accesses(trace)))
+    return _build(trace, geometry)[0]
+
+
+def build_plan_entry(trace, geometry: PredictorGeometry
+                     ) -> Tuple[BatchPlan, Dict[str, np.ndarray]]:
+    """:func:`build_batch_plan`, and the payload to store, narrowed from
+    the arrays the build derived: equal to the plan's
+    :meth:`~BatchPlan.payload`, without converting its lists back."""
+    plan, derived = _build(trace, geometry)
+    return plan, BatchPlan.narrow({
+        **derived, "dtlb_miss": plan.dtlb_miss, "dstride": plan.dstride,
+        "dgeom": plan.dgeom,
+    })

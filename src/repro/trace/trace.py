@@ -8,13 +8,19 @@ data-flow and drive the data-side cache hierarchy.
 
 Columns are plain Python lists of ints (fastest to iterate in pure
 Python); :meth:`Trace.save` / :meth:`Trace.load` round-trip through
-compressed ``.npz`` for persistence.
+compressed ``.npz`` for persistence. A trace built from numpy arrays
+(:meth:`Trace.from_arrays`: synthesis and :meth:`Trace.load`) makes
+each column a list on its first read, once; until then the vectorized
+readers (:meth:`Trace.array`) take the array as it is.
 """
 
 from __future__ import annotations
 
+import io
+import os
+import zipfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -42,16 +48,52 @@ def narrow_ints(values, empty=np.int64) -> np.ndarray:
     Stored columns are narrowed because compressing them costs more than
     anything else in a store, and less data compresses faster; loads
     read them back through ``tolist()``, which yields the same Python
-    ints whatever the stored type.
+    ints whatever the stored type. An integer array is narrowed as it
+    is, without a pass through int64.
     """
-    arr = np.asarray(values, dtype=np.int64)
+    if isinstance(values, np.ndarray):
+        arr = values
+    else:
+        arr = np.asarray(values, dtype=np.int64)
     if not arr.size:
         return arr.astype(empty)
-    lo, hi = arr.min(), arr.max()
+    lo, hi = int(arr.min()), int(arr.max())
     for tmin, tmax, t in _NARROW_TYPES:
         if tmin <= lo and hi <= tmax:
-            return arr.astype(t)
-    return arr
+            return arr.astype(t, copy=False)
+    return arr.astype(np.int64, copy=False)
+
+
+#: zlib level of stored ``.npz`` entries. Level 1 deflates a trace or
+#: plan entry in about half the time of the default 6; the entries come
+#: out 1.3–1.6× larger at 10 k instructions, and 160 K plans 2.1–2.3×
+#: (docs/performance.md).
+NPZ_LEVEL = 1
+
+
+def save_npz(file, **arrays) -> None:
+    """``np.savez_compressed(file, **arrays)`` at zlib level
+    :data:`NPZ_LEVEL`: the same zip layout, member names and dtypes, so
+    ``np.load`` reads the entry whichever level wrote it.
+
+    The archive is built in memory and written in one piece: the zip
+    writer seeks back to finish each member's header, and on a file
+    every seek is a flush and a system call."""
+    buffer = io.BytesIO()
+    with zipfile.ZipFile(buffer, "w", zipfile.ZIP_DEFLATED, allowZip64=True,
+                         compresslevel=NPZ_LEVEL) as archive:
+        for key, value in arrays.items():
+            with archive.open(key + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(value),
+                                          allow_pickle=False)
+    if hasattr(file, "write"):
+        file.write(buffer.getbuffer())
+        return
+    file = os.fspath(file)
+    if not file.endswith(".npz"):
+        file += ".npz"
+    with open(file, "wb") as out:
+        out.write(buffer.getbuffer())
 
 
 @dataclass
@@ -61,6 +103,13 @@ class Trace:
     All columns have identical length. ``target[i]`` is the *actual* next
     PC for taken branches and 0 otherwise; non-branches always fall
     through to ``pc[i] + 4``.
+
+    A trace made by :meth:`from_arrays` holds each column as an integer
+    array until the column is first read as an attribute: that read
+    makes the list (``tolist()``, so every value is a Python int) and
+    drops the array. The lists are the trace; an array only ever stands
+    in for a list not made yet, so an edit (which needs the list) is
+    seen by every reader.
     """
 
     name: str = "anon"
@@ -88,8 +137,70 @@ class Trace:
         "maddr",
     )
 
+    @classmethod
+    def from_arrays(cls, name: str, arrays: Mapping[str, np.ndarray]) -> "Trace":
+        """A trace over one integer array per column (see the class
+        docstring: each becomes a list on its first read)."""
+        columns = {col: arrays[col] for col in cls._COLUMNS}
+        if len({len(column) for column in columns.values()}) > 1:
+            raise ValueError("columns differ in length")
+        trace = cls.__new__(cls)
+        trace.name = name
+        trace.__dict__["_arrays"] = columns
+        return trace
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not in the instance dict: here, a
+        # column still held as an array. The list is set before the
+        # array goes, and ``setdefault`` keeps the first list set, so
+        # threads reading a column at once all get that one list. The
+        # dict of arrays is replaced, never changed, so a copy of the
+        # trace keeps its own.
+        arrays = self.__dict__.get("_arrays")
+        if arrays is not None and name in arrays:
+            column = self.__dict__.setdefault(name, arrays[name].tolist())
+            self.__dict__["_arrays"] = {
+                col: arr for col, arr in arrays.items() if col != name
+            }
+            return column
+        column = self.__dict__.get(name)  # made by another thread meanwhile
+        if column is not None:
+            return column
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def _held(self, col: str):
+        """Column *col* as the trace holds it, its list or the array
+        standing in for it, without making a list."""
+        column = self.__dict__.get(col)
+        if column is None:
+            column = self.__dict__.get("_arrays", {}).get(col)
+            if column is None:  # made into a list meanwhile
+                column = getattr(self, col)
+        return column
+
+    def array(self, col: str) -> np.ndarray:
+        """Column *col* as an integer array, for vectorized readers: the
+        array the trace holds while the column's list is not made (of
+        whatever integer type it was given), else the list as int64.
+        Read-only: the array may be the trace's own."""
+        column = self._held(col)
+        if isinstance(column, np.ndarray):
+            return column
+        return np.fromiter(column, np.int64, len(column))
+
+    def take(self, col: str, rows: np.ndarray) -> List[int]:
+        """Column *col* at the indices *rows* (an integer array), as
+        Python ints, read from the array or the list the trace holds,
+        neither made nor converted."""
+        column = self._held(col)
+        if isinstance(column, np.ndarray):
+            return column[rows].tolist()
+        return list(map(column.__getitem__, rows.tolist()))
+
     def __len__(self) -> int:
-        return len(self.pc)
+        return len(self._held("pc"))
 
     def line_index(self) -> List[int]:
         """Per-instruction cache-line index (``pc // LINE_BYTES``).
@@ -100,14 +211,35 @@ class Trace:
         recomputes on the next call.
         """
         cached = self.__dict__.get("_line_index")
-        if cached is not None and len(cached) == len(self.pc):
+        if cached is not None and len(cached) == len(self):
             return cached
-        if self.pc:
-            lines = (np.asarray(self.pc, dtype=np.int64) // LINE_BYTES).tolist()
-        else:
-            lines = []
+        lines = (self.array("pc") // LINE_BYTES).tolist()
         self.__dict__["_line_index"] = lines
         return lines
+
+    def check_registers(self) -> None:
+        """Raise ``ValueError`` when a register operand lies outside
+        ``NO_REG..NUM_REGS - 1``: the kernel reads sources one slot up,
+        so -2 would read register 31 there and nothing on the
+        interpreter, and 32 indexes past the register file on both.
+
+        Vectorized over the columns and memoized like
+        :meth:`line_index` (by length), so the runs of one trace check
+        it once; an operand edited in place after that is not checked.
+        """
+        n = len(self)
+        if self.__dict__.get("_registers_checked") == n:
+            return
+        self._check_registers()
+        self.__dict__["_registers_checked"] = n
+
+    def _check_registers(self) -> None:
+        for col in ("dst", "src1", "src2"):
+            regs = self.array(col)
+            if regs.size and not (NO_REG <= regs.min() and regs.max() < NUM_REGS):
+                raise ValueError(
+                    f"column {col} holds a register outside {NO_REG}..{NUM_REGS - 1}"
+                )
 
     def append(
         self,
@@ -146,12 +278,7 @@ class Trace:
         for col in self._COLUMNS:
             if len(getattr(self, col)) != n:
                 raise ValueError(f"column {col} length mismatch")
-        for col in ("dst", "src1", "src2"):
-            regs = getattr(self, col)
-            if regs and not (NO_REG <= min(regs) and max(regs) < NUM_REGS):
-                raise ValueError(
-                    f"column {col} holds a register outside {NO_REG}..{NUM_REGS - 1}"
-                )
+        self._check_registers()
         for i in range(n - 1):
             if self.next_pc(i) != self.pc[i + 1]:
                 raise ValueError(
@@ -213,20 +340,20 @@ class Trace:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path: str) -> None:
-        """Serialize to a compressed ``.npz``, each column in the
-        narrowest integer type that holds it (:func:`narrow_ints`)."""
-        arrays = {col: narrow_ints(getattr(self, col)) for col in self._COLUMNS}
-        np.savez_compressed(path, name=np.array(self.name), **arrays)
+        """Serialize to a compressed ``.npz`` (:func:`save_npz`), each
+        column in the narrowest integer type that holds it
+        (:func:`narrow_ints`), narrowed from :meth:`array`."""
+        arrays = {col: narrow_ints(self.array(col)) for col in self._COLUMNS}
+        save_npz(path, name=np.array(self.name), **arrays)
 
     @classmethod
     def load(cls, path: str) -> "Trace":
-        """Load a trace previously written with :meth:`save`."""
+        """Load a trace previously written with :meth:`save`, over the
+        arrays read (:meth:`from_arrays`)."""
         with np.load(path, allow_pickle=False) as data:
-            trace = cls(name=str(data["name"]))
-            for col in cls._COLUMNS:
-                # tolist() yields Python ints, like the columns synthesis builds.
-                setattr(trace, col, data[col].tolist())
-        return trace
+            return cls.from_arrays(
+                str(data["name"]), {col: data[col] for col in cls._COLUMNS}
+            )
 
     def slice(self, start: int, stop: Optional[int] = None) -> "Trace":
         """Return a sub-trace covering indices [start, stop)."""

@@ -107,6 +107,25 @@ def test_corrupt_plan_entry_is_dropped_and_rebuilt(monkeypatch, tmp_path):
     assert path.exists()  # re-stored
 
 
+def test_stored_plan_entry_is_the_plans_payload(monkeypatch, tmp_path):
+    """The entry a build stores, narrowed from the arrays the build
+    derived, equals what the plan's lists narrow to: name, dtype and
+    values."""
+    import numpy as np
+
+    monkeypatch.setenv(KERNEL_ENV, "batched")
+    cache = configure_disk_cache(True, tmp_path)
+    point = _points()[3]
+    plan = fetch_batch_plan(point, fetch_trace(point.workload, point.length, point.seed))
+    arrays, meta = cache.load_plan(plan_key(point, batch_geometry(point.config)))
+    assert meta["workload"] == point.workload and meta["source"] == "synth"
+    expected = plan.payload()
+    assert sorted(arrays) == sorted(expected)
+    for name, array in expected.items():
+        assert arrays[name].dtype == array.dtype, name
+        assert np.array_equal(arrays[name], array), name
+
+
 def test_plan_key_distinguishes_geometry_and_trace():
     a, b = _points()[0], _points()[2]  # same workload, different config
     geom = batch_geometry(a.config)

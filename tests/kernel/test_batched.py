@@ -362,3 +362,34 @@ def test_warmup_only_slices_bit_identical(n, warmup, monkeypatch):
         )
         assert_identical(batched, interp)
     assert interp.cycles >= 1
+
+
+# -- register operands: checked before either engine runs ---------------------
+
+
+def _operand_trace(n=400):
+    trace = Trace(name="operands")
+    pc = 0x1000
+    for k in range(n):
+        trace.append(pc, dst=k % 31 + 1, src1=(k + 7) % 32, src2=k % 3 - 1)
+        pc += 4
+    return trace
+
+
+@pytest.mark.parametrize("mode", ["batched", "interp"])
+@pytest.mark.parametrize("column,value", [("src1", -2), ("src2", 32), ("dst", 32)])
+def test_register_outside_the_file_raises_before_the_run(column, value, mode, monkeypatch):
+    """A hand-built trace with an operand outside -1..31 raises the same
+    ValueError on either engine before a cycle runs (the kernel would
+    read register 31 for a source of -2 where the interpreter reads
+    none, and 32 indexes past the register file on both)."""
+    trace = _operand_trace()
+    getattr(trace, column)[200] = value
+    monkeypatch.setenv(KERNEL_ENV, mode)
+    sim = build_simulator(ibtb(16), trace)
+    assert sim.kernel_engine() == mode
+    with pytest.raises(ValueError, match=f"column {column} holds a register outside -1..31"):
+        sim.run(warmup=100)
+    # Nothing ran: mended, the same simulator runs as a fresh one does.
+    getattr(trace, column)[200] = 5
+    assert sim.run(warmup=100) == build_simulator(ibtb(16), trace).run(warmup=100)

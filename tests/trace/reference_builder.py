@@ -8,8 +8,12 @@ equal, kept as it was written before that: one ``StaticInst`` and one
 SplitMix64 of ``tests/common/test_rng.py``, and a heat-weighted callee
 pick by ``weighted_choice``'s linear scan. ``body_draws`` records where
 the body pass ended, so a test can check that the terminator pass starts
-on the same draw. ``ReferenceSynthesizer`` walks such a program with the
-trace walker, emitting each body one instruction at a time.
+on the same draw.
+
+``ReferenceSynthesizer`` is the trace walker as it was written before
+``repro.trace.synth`` assembled traces from the walk in numpy: it walks
+such a program on the scalar SplitMix64, appending one instruction at a
+time to a list-column ``Trace`` and cutting it at the length at the end.
 """
 
 from __future__ import annotations
@@ -37,10 +41,12 @@ from repro.trace.cfg import (
     ProgramSpec,
     StaticInst,
 )
-from repro.trace.synth import TraceSynthesizer
 from repro.trace.trace import Trace
 
 from tests.common.test_rng import ScalarSplitMix
+
+#: The walker's cap on call depth.
+MAX_CALL_DEPTH = 64
 
 
 @dataclass
@@ -67,9 +73,32 @@ class RefBlock:
         return self.start_pc + self.ninsts * ILEN
 
 
-class ReferenceSynthesizer(TraceSynthesizer):
-    """The trace walker emitting bodies one ``StaticInst`` at a time, over
-    a program of :class:`RefBlock` functions (see :func:`reference_program`)."""
+class ReferenceSynthesizer:
+    """The trace walker emitting one instruction at a time, over a program
+    of :class:`RefBlock` functions (see :func:`reference_program`)."""
+
+    def __init__(self, program: Program, seed: int = 7) -> None:
+        self.program = program
+        self.rng = ScalarSplitMix(seed)
+        self._visit_count: Dict[int, int] = {}
+        for function in program.functions:
+            for block in function.blocks:
+                if block.cond_behavior is not None:
+                    block.cond_behavior.reset()
+                if block.indirect_behavior is not None:
+                    block.indirect_behavior.reset()
+
+    def synthesize(self, length: int, name: str = "synth") -> Trace:
+        if length <= 0:
+            raise ValueError("length must be positive")
+        trace = Trace(name=name)
+        block = self.program.entry.blocks[0]
+        stack: List[int] = []
+        while len(trace) < length:
+            block = self._run_block(block, stack, trace)
+        out = trace.slice(0, length)
+        out.name = name
+        return out
 
     def _emit_body(self, block: RefBlock, trace: Trace) -> None:
         for inst in block.insts:
@@ -87,6 +116,46 @@ class ReferenceSynthesizer(TraceSynthesizer):
                 is_store=inst.kind == "store",
                 maddr=maddr,
             )
+
+    def _run_block(self, block: RefBlock, stack: List[int], trace: Trace) -> RefBlock:
+        self._emit_body(block, trace)
+        term = block.term_type
+        if term == BranchType.NONE:
+            return self._block_at(block.end_pc)
+        term_pc = block.term_pc
+        if term == BranchType.COND_DIRECT:
+            taken = block.cond_behavior.outcome(self.rng)
+            target = block.taken_target if taken else 0
+            trace.append(pc=term_pc, btype=term, taken=taken, target=target)
+            return self._block_at(block.taken_target if taken else block.end_pc)
+        if term == BranchType.UNCOND_DIRECT:
+            trace.append(pc=term_pc, btype=term, taken=True, target=block.taken_target)
+            return self._block_at(block.taken_target)
+        if term == BranchType.CALL_DIRECT:
+            trace.append(pc=term_pc, btype=term, taken=True, target=block.taken_target)
+            return self._enter_call(block, stack, block.taken_target)
+        if term == BranchType.CALL_INDIRECT:
+            target = block.indirect_behavior.next_target(self.rng)
+            trace.append(pc=term_pc, btype=term, taken=True, target=target)
+            return self._enter_call(block, stack, target)
+        if term == BranchType.INDIRECT:
+            target = block.indirect_behavior.next_target(self.rng)
+            trace.append(pc=term_pc, btype=term, taken=True, target=target)
+            return self._block_at(target)
+        if term == BranchType.RETURN:
+            target = stack.pop() if stack else self.program.entry.entry_pc
+            trace.append(pc=term_pc, btype=term, taken=True, target=target)
+            return self._block_at(target)
+        raise AssertionError(f"unhandled terminator {term!r}")
+
+    def _enter_call(self, block: RefBlock, stack: List[int], callee_pc: int) -> RefBlock:
+        if len(stack) >= MAX_CALL_DEPTH:
+            raise RuntimeError("call depth exceeded; program generation is broken")
+        stack.append(block.end_pc)
+        return self._block_at(callee_pc)
+
+    def _block_at(self, pc: int) -> RefBlock:
+        return self.program.block_at[pc]
 
 
 def reference_program(spec: ProgramSpec) -> Program:

@@ -1,4 +1,5 @@
-"""The columnar program builder against the one-draw-at-a-time reference.
+"""The columnar program builder and trace walker against the
+one-draw-at-a-time references.
 
 ``ProgramBuilder`` draws every block body from a numpy block of upcoming
 draws; ``reference_builder.ReferenceBuilder`` is the sequential builder
@@ -9,6 +10,11 @@ drawn specs that reach the edges (probabilities of 0 and 1, geometric
 means of 1, one-instruction bodies, programs that open with stores,
 extreme seeds), and on draws crafted to land exactly on a probability
 cut.
+
+``TraceSynthesizer`` records its walk and assembles the columns in
+numpy; ``reference_builder.ReferenceSynthesizer`` is the walker it
+replaced, appending one instruction at a time. Every trace must come out
+the same, column for column and as Python ints, at every cut.
 """
 
 import tracemalloc
@@ -20,20 +26,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.rng import GAMMA, MASK64, SplitMix
+from repro.common.types import BranchType
 from repro.trace.cfg import (
+    CODE_BASE,
     STORE,
+    Block,
+    Function,
+    Program,
     ProgramBuilder,
     ProgramSpec,
     _cut,
     _Geometric,
     build_program,
 )
-from repro.trace.synth import synthesize_trace
+from repro.trace.synth import MAX_CALL_DEPTH, TraceSynthesizer, synthesize_trace
 from repro.trace.trace import Trace
-from repro.trace.workloads import WORKLOAD_SPECS
+from repro.trace.workloads import WORKLOAD_SPECS, get_program
 
 from tests.common.test_rng import ScalarSplitMix, seed_drawing_first
 from tests.trace.reference_builder import (
+    RefBlock,
     ReferenceBuilder,
     ReferenceSynthesizer,
     reference_program,
@@ -117,6 +129,15 @@ def test_drawn_specs_equal_reference(spec):
     assert_same_program(spec)
 
 
+def assert_same_trace(trace, reference):
+    """Equal columns, every value a Python int."""
+    assert len(trace) == len(reference)
+    for column in Trace._COLUMNS:
+        values = getattr(trace, column)
+        assert values == getattr(reference, column), column
+        assert all(type(v) is int for v in values), column
+
+
 @settings(max_examples=25, deadline=None)
 @given(specs(), st.integers(1, 3000), st.integers(0, 2 ** 64 - 1))
 def test_drawn_specs_walk_to_the_reference_traces(spec, length, seed):
@@ -124,8 +145,79 @@ def test_drawn_specs_walk_to_the_reference_traces(spec, length, seed):
     walked over the reference program one instruction at a time."""
     trace = synthesize_trace(build_program(spec), length, seed=seed)
     reference = ReferenceSynthesizer(reference_program(spec), seed=seed).synthesize(length)
-    for column in Trace._COLUMNS:
-        assert getattr(trace, column) == getattr(reference, column), column
+    assert_same_trace(trace, reference)
+
+
+#: Instructions per walk of a suite program: a few hundred blocks, the
+#: dispatcher's loop and calls several levels deep.
+WALK = 4_000
+
+
+@pytest.mark.parametrize("name", list(WORKLOAD_SPECS))
+def test_suite_walks_equal_reference(name):
+    """Every suite program, at every edge seed, walks to the reference's
+    trace."""
+    reference = reference_program(WORKLOAD_SPECS[name])
+    for seed in EDGE_SEEDS:
+        trace = synthesize_trace(get_program(name), WALK, seed=seed, name=name)
+        assert trace.name == name
+        assert_same_trace(trace, ReferenceSynthesizer(reference, seed=seed).synthesize(WALK))
+
+
+def test_cuts_equal_reference():
+    """A trace cut after one instruction, inside a block body, and right
+    after a terminator equals the reference cut at the same place."""
+    name = "kv_store"
+    reference = reference_program(WORKLOAD_SPECS[name])
+    whole = ReferenceSynthesizer(reference, seed=3).synthesize(WALK)
+    btype = whole.btype
+    inside = next(j for j in range(100, WALK) if not btype[j] and not btype[j + 1])
+    at_branch = next(j for j in range(100, WALK) if btype[j])
+    for length in (1, inside + 1, at_branch + 1):
+        trace = synthesize_trace(get_program(name), length, seed=3)
+        expected = ReferenceSynthesizer(reference, seed=3).synthesize(length)
+        assert_same_trace(trace, expected)
+        assert expected.pc == whole.pc[:length]
+    # The cuts land where they are meant to: the body instruction cut
+    # after is followed by another, the branch ends its block.
+    assert not btype[inside] and not btype[inside + 1] and btype[at_branch]
+
+
+def test_second_walk_continues_like_reference():
+    """A synthesizer walked again goes on from where it stood: its draws,
+    its loads' and stores' visit counts and its behaviours' state."""
+    name = "db_oltp"
+    walker = TraceSynthesizer(get_program(name), seed=2 ** 63)
+    reference = ReferenceSynthesizer(reference_program(WORKLOAD_SPECS[name]), seed=2 ** 63)
+    for length in (1_500, 1, 2_500):
+        assert_same_trace(walker.synthesize(length), reference.synthesize(length))
+
+
+@pytest.mark.parametrize("walker", ["columnar", "reference"])
+def test_call_depth_is_capped(walker):
+    """A program whose calls nest deeper than MAX_CALL_DEPTH stops the
+    walk with the call-depth error."""
+    depth = MAX_CALL_DEPTH + 2
+    pcs = [CODE_BASE + 8 * i for i in range(depth + 1)]
+    functions = []
+    for level, pc in enumerate(pcs):
+        if level < depth:
+            kind, target = BranchType.CALL_DIRECT, pcs[level + 1]
+        else:
+            kind, target = BranchType.RETURN, 0
+        if walker == "columnar":
+            block = Block(start_pc=pc, term_type=kind, taken_target=target)
+        else:
+            block = RefBlock(start_pc=pc, insts=[], term_type=kind, taken_target=target)
+        functions.append(Function(name=f"fn{level:03d}", level=level, blocks=[block]))
+    program = Program(functions=functions)
+    program.finalize()
+    if walker == "columnar":
+        walk = lambda: synthesize_trace(program, 1_000)  # noqa: E731
+    else:
+        walk = lambda: ReferenceSynthesizer(program).synthesize(1_000)  # noqa: E731
+    with pytest.raises(RuntimeError, match="call depth exceeded"):
+        walk()
 
 
 SMALL = ProgramSpec(seed=5, n_functions=12, blocks_per_function_mean=6)

@@ -35,6 +35,7 @@ from repro.trace.columnar import (
     _folds,
     build_batch_plan,
     build_data_plan,
+    build_plan_entry,
     build_predictor_plan,
     data_accesses,
     lower_trace,
@@ -278,14 +279,17 @@ def test_batch_plan_payload_roundtrip():
 BYTE_COLUMNS = ("pt", "ras_ok", "dtlb_miss")
 
 
-def _plan_cases():
-    geom = batch_geometry(MachineConfig(bp_size_kb=64))
-    traces = {
+def _case_traces():
+    return {
         "synthetic": get_trace("web_frontend", 4_000),
         "empty": Trace(name="empty"),
         "wide": wide_trace(),
     }
-    return geom, {case: build_batch_plan(t, geom) for case, t in traces.items()}
+
+
+def _plan_cases():
+    geom = batch_geometry(MachineConfig(bp_size_kb=64))
+    return geom, {case: build_batch_plan(t, geom) for case, t in _case_traces().items()}
 
 
 def _assert_same_plan(clone, plan, geom):
@@ -341,6 +345,44 @@ def test_batch_plan_loads_int64_payloads_written_before_narrowing(case, tmp_path
     disk = DiskCache(tmp_path / "cache")
     disk.store_plan("k", old, {})
     arrays, _meta = disk.load_plan("k")
+    _assert_same_plan(BatchPlan.from_payload(geom, arrays), plan, geom)
+
+
+@pytest.mark.parametrize("case", ["synthetic", "empty", "wide"])
+def test_batch_plan_payload_from_the_build_equals_the_lists(case):
+    """The payload ``build_plan_entry`` narrows from the arrays the build
+    derived equals the one ``payload()`` narrows from the plan's lists:
+    name for name, type for type; and the plan equals
+    ``build_batch_plan``'s."""
+    geom, plans = _plan_cases()
+    plan, built = build_plan_entry(_case_traces()[case], geom)
+    _assert_same_plan(plan, plans[case], geom)
+    from_lists = plan.payload()
+    assert list(built) == list(from_lists) == list(BatchPlan.PAYLOAD_KEYS)
+    for key in BatchPlan.PAYLOAD_KEYS:
+        assert built[key].dtype == from_lists[key].dtype, key
+        assert np.array_equal(built[key], from_lists[key]), key
+
+
+@pytest.mark.parametrize("case", ["synthetic", "wide"])
+def test_batch_plan_loads_entries_written_by_savez(case, tmp_path):
+    """A plan entry written by ``np.savez_compressed`` (as stores did
+    before entries were deflated at level 1) loads equal."""
+    import json
+
+    from repro.core.exec.diskcache import DiskCache
+
+    geom, plans = _plan_cases()
+    plan = plans[case]
+    disk = DiskCache(tmp_path / "cache")
+    path = disk.plan_path("k")
+    path.parent.mkdir(parents=True)
+    payload = plan.payload()
+    with open(path, "wb") as fh:
+        np.savez_compressed(fh, **payload, __meta__=np.array(json.dumps({"case": case})))
+    arrays, meta = disk.load_plan("k")
+    assert meta == {"case": case}
+    assert {k: a.dtype for k, a in arrays.items()} == {k: a.dtype for k, a in payload.items()}
     _assert_same_plan(BatchPlan.from_payload(geom, arrays), plan, geom)
 
 
