@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 from pathlib import Path
 from typing import List
 
@@ -101,8 +102,18 @@ class ConfigSpecError(ValueError):
 
 
 def parse_config(spec: str) -> MachineConfig:
-    """Parse a compact config spec string into a :class:`MachineConfig`."""
-    spec = spec.strip().lower()
+    """Parse a compact config spec string into a :class:`MachineConfig`.
+
+    Memoized on the normalized spec (stripped, lower case), so every
+    request for one spec gets one instance, whose cache-key rendering is
+    then made once (configs are frozen, so sharing it is safe). A
+    malformed spec raises :class:`ConfigSpecError` on every call.
+    """
+    return _parse_normalized(spec.strip().lower())
+
+
+@lru_cache(maxsize=256)
+def _parse_normalized(spec: str) -> MachineConfig:
     ideal = spec.endswith("@ideal")
     if ideal:
         spec = spec[: -len("@ideal")]

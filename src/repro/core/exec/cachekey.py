@@ -8,13 +8,21 @@ canonical JSON rendering of everything the result depends on — the
 parameters (length, warmup, seed) and a cache-schema version. Two
 configs built independently with the same fields therefore share a key,
 and changing any field (or the schema version) changes the key.
+
+Configs and specs are frozen, so each instance is rendered once per
+process (:class:`InstanceMemo`) and every key that holds it reuses the
+text: a dict payload is rendered as ``{`` + its sorted ``"name":text``
+pairs + ``}``, byte for byte what ``json.dumps`` makes of the whole.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import weakref
 from dataclasses import fields, is_dataclass
+from json.encoder import encode_basestring_ascii
+from typing import Dict, Tuple
 
 #: Version of the cached payloads *and* of the simulation semantics they
 #: capture. Bump this whenever the simulator timing model, the trace
@@ -63,6 +71,16 @@ RESULT_FINGERPRINTS = {
 #: Exact types returned as they are (subclasses take the full walk).
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
+#: Field names of each dataclass type, looked up once per type.
+_FIELD_NAMES: Dict[type, Tuple[str, ...]] = {}
+
+
+def _field_names(cls) -> Tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(f.name for f in fields(cls))
+    return names
+
 
 def _plain(obj, nested: bool = False):
     """Reduce *obj* to JSON-serializable plain data, deterministically.
@@ -77,9 +95,9 @@ def _plain(obj, nested: bool = False):
         return obj
     if is_dataclass(obj) and not isinstance(obj, type):
         plain = {} if nested else {"__type__": type(obj).__name__}
-        for field in fields(obj):
-            value = getattr(obj, field.name)
-            plain[field.name] = (
+        for name in _field_names(type(obj)):
+            value = getattr(obj, name)
+            plain[name] = (
                 value if type(value) in _SCALAR_TYPES else _plain(value, True)
             )
         return plain
@@ -92,9 +110,126 @@ def _plain(obj, nested: bool = False):
     raise TypeError(f"cannot canonicalize {type(obj).__name__} for cache keying")
 
 
+def _immutable(obj) -> bool:
+    """True for a frozen dataclass instance whose fields all hold
+    exact-type scalars: nothing its rendering depends on can change."""
+    cls = type(obj)
+    params = getattr(cls, "__dataclass_params__", None)
+    return (
+        params is not None
+        and params.frozen
+        and all(
+            type(getattr(obj, name)) in _SCALAR_TYPES
+            for name in _field_names(cls)
+        )
+    )
+
+
+class InstanceMemo:
+    """Values derived from immutable instances, one entry per live one.
+
+    Entries are keyed by ``id(instance)`` and hold a weak reference
+    beside the value: a lookup is served only while that reference still
+    points at the very instance asked about, and the reference's
+    callback drops the entry when the instance dies, so the memo keeps
+    no instance alive and does not outlive them. :meth:`put` remembers
+    only :func:`_immutable` instances; anything else is derived afresh
+    on every call.
+
+    Never keyed by value: ``16 == 16.0`` and ``True == 1``, yet they
+    render as ``16``/``16.0`` and ``true``/``1``, so equal instances may
+    need different values. Threads need no lock: a lookup and a store
+    are single dict operations, two threads storing one instance's value
+    store equal values, and an id cannot be reused before the dying
+    instance's callback has run.
+    """
+
+    def __init__(self) -> None:
+        self._entries: Dict[int, Tuple[weakref.KeyedRef, object]] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, obj):
+        """The value remembered for *obj*, or ``None``."""
+        entry = self._entries.get(id(obj))
+        if entry is not None and entry[0]() is obj:
+            return entry[1]
+        return None
+
+    def put(self, obj, value):
+        """Remember *value* for *obj* if it is immutable; returns *value*."""
+        if _immutable(obj):
+            try:
+                ref = weakref.KeyedRef(obj, self._forget, id(obj))
+            except TypeError:  # a slotted class without __weakref__
+                return value
+            self._entries[id(obj)] = (ref, value)
+        return value
+
+    def _forget(self, ref: weakref.KeyedRef) -> None:
+        entry = self._entries.get(ref.key)
+        if entry is not None and entry[0] is ref:
+            self._entries.pop(ref.key, None)
+
+
+#: The canonical rendering of each immutable config and spec instance.
+_RENDERINGS = InstanceMemo()
+
+
+_INF = float("inf")
+
+
+def _scalar_json(value) -> str:
+    """``json.dumps(value)`` of an exact-type scalar, with no encoder."""
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if type(value) is int:
+        return int.__repr__(value)
+    if value != value:
+        return "NaN"
+    if value == _INF:
+        return "Infinity"
+    if value == -_INF:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+def _render(obj) -> str:
+    """Canonical JSON text of one payload value."""
+    if type(obj) in _SCALAR_TYPES:
+        return _scalar_json(obj)
+    text = _RENDERINGS.get(obj)
+    if text is None:
+        text = _RENDERINGS.put(
+            obj, json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+        )
+    return text
+
+
 def canonical_json(obj) -> str:
-    """Deterministic JSON rendering (sorted keys, no whitespace)."""
-    return json.dumps(_plain(obj), sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON rendering (sorted keys, no whitespace).
+
+    Equal to ``json.dumps(_plain(obj), sort_keys=True,
+    separators=(",", ":"))``; a dict is composed from its values'
+    renderings, so a memoized config or spec inside it is not walked.
+    """
+    if type(obj) is not dict:
+        return _render(obj)
+    items = {str(k): v for k, v in obj.items()}
+    return (
+        "{"
+        + ",".join(
+            f"{encode_basestring_ascii(k)}:{_render(items[k])}" for k in sorted(items)
+        )
+        + "}"
+    )
 
 
 def digest(payload) -> str:

@@ -55,7 +55,7 @@ import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Dict, Iterator, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.core.exec.cachekey import CACHE_SCHEMA
 from repro.core.simulator import SimResult
@@ -165,6 +165,8 @@ class DiskCache:
         self.root = Path(root).expanduser() if root else default_cache_dir()
         self.version_dir = self.root / f"v{CACHE_SCHEMA}"
         self.results_dir = self.version_dir / "results"
+        #: ``results_dir`` as a string, for the hit path's plain opens.
+        self._results = str(self.results_dir)
         self.traces_dir = self.version_dir / "traces"
         self.plans_dir = self.version_dir / "plans"
         self.obs_dir = self.version_dir / "obs"
@@ -192,26 +194,17 @@ class DiskCache:
 
     # -- paths / plumbing ---------------------------------------------------
 
-    def _layouts(self, tier_dir: Path, key: str, suffix: str) -> Iterator[Path]:
-        """The two places *key* may live in *tier_dir*, preferred layout
-        first (sharded when ``self.shard``, flat otherwise); lazily, so a
-        caller that stops at the first never builds the second."""
-        name = f"{key}{suffix}"
-        if self.shard:
-            yield tier_dir / key[:2] / name
-            yield tier_dir / name
-        else:
-            yield tier_dir / name
-            yield tier_dir / key[:2] / name
-
     def _entry_path(self, tier_dir: Path, key: str, suffix: str) -> Path:
         """Path of *key* in *tier_dir*, honouring the shard layout.
 
-        The preferred layout wins, but an entry that already exists
-        under the *other* layout is found and reused, so flat and
-        sharded caches interoperate on one root.
+        The preferred layout (sharded when ``self.shard``, flat
+        otherwise) wins, but an entry that already exists under the
+        *other* layout is found and reused, so flat and sharded caches
+        interoperate on one root.
         """
-        preferred, other = self._layouts(tier_dir, key, suffix)
+        name = f"{key}{suffix}"
+        flat, sharded = tier_dir / name, tier_dir / key[:2] / name
+        preferred, other = (sharded, flat) if self.shard else (flat, sharded)
         if not preferred.exists() and other.exists():
             return other
         return preferred
@@ -240,7 +233,7 @@ class DiskCache:
         }[tier]
 
     @staticmethod
-    def _touch(path: Path) -> None:
+    def _touch(path) -> None:
         """Refresh an entry's mtime on a hit so eviction is LRU, not FIFO."""
         try:
             os.utime(path)
@@ -279,13 +272,17 @@ class DiskCache:
 
         Reads the preferred layout and falls back to the other one only
         when the entry is not there, so a hit costs one open and no
-        probe. Corrupted or truncated entries are removed and count as
-        misses (unless *count_miss* is false: a probe whose miss the
-        execution that follows counts).
+        probe; paths are plain strings, built without ``pathlib``.
+        Corrupted or truncated entries (or anything but a file at the
+        path) are removed and count as misses (unless *count_miss* is
+        false: a probe whose miss the execution that follows counts).
         """
-        for path in self._layouts(self.results_dir, key, ".json"):
+        flat = f"{self._results}/{key}.json"
+        sharded = f"{self._results}/{key[:2]}/{key}.json"
+        for path in (sharded, flat) if self.shard else (flat, sharded):
             try:
-                payload = json.loads(path.read_bytes())
+                with open(path, "rb") as entry:
+                    payload = json.loads(entry.read())
                 result = SimResult(
                     name=str(payload["name"]),
                     instructions=int(payload["instructions"]),
@@ -298,7 +295,7 @@ class DiskCache:
             except FileNotFoundError:
                 continue
             except Exception:
-                self._drop(path)
+                self._drop(Path(path))
                 break
             self._count("result_hits")
             self._touch(path)

@@ -22,7 +22,7 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Optional
 
-from repro.core.exec.cachekey import digest
+from repro.core.exec.cachekey import InstanceMemo, digest
 from repro.core.passes.codegen import CodegenPass
 from repro.core.passes.dag import GenDAGPass, KernelPlan
 from repro.core.passes.schedule import Schedule, SchedulePass
@@ -93,19 +93,31 @@ _HITS = 0
 _MISSES = 0
 
 
+#: The kernel key of each config instance (configs are frozen).
+_KEYS = InstanceMemo()
+
+
 def kernel_key(config) -> str:
     """Content-hash key of the kernel *config* elaborates to.
 
     The label is excluded: it never reaches the generated code, so
-    renamed-but-identical configs share one kernel.
+    renamed-but-identical configs share one kernel. Memoized per config
+    instance, so a cache hit in :func:`get_kernel` builds no relabelled
+    copy.
     """
-    return digest(
-        {
-            "kind": "kernel",
-            "schema": KERNEL_SCHEMA,
-            "config": replace(config, label=""),
-        }
-    )
+    key = _KEYS.get(config)
+    if key is None:
+        key = _KEYS.put(
+            config,
+            digest(
+                {
+                    "kind": "kernel",
+                    "schema": KERNEL_SCHEMA,
+                    "config": replace(config, label=""),
+                }
+            ),
+        )
+    return key
 
 
 def get_kernel(config) -> CompiledKernel:

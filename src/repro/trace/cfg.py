@@ -201,7 +201,7 @@ class Program:
         ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProgramSpec:
     """Knobs of the synthetic program generator.
 
@@ -209,6 +209,10 @@ class ProgramSpec:
     reports (mean dynamic basic-block size ≈ 9.4, ≈ 35 % never-taken
     conditionals, ≈ 9 % single-target indirects, footprints well beyond a
     32 KB L1I).
+
+    Frozen: a spec is hashed into every trace, plan and result key, and
+    its canonical rendering is memoized per instance. Variants come from
+    ``dataclasses.replace``.
     """
 
     seed: int = 1

@@ -14,15 +14,27 @@ unreachable even though nothing it holds went stale. So this file pins:
 * the canonical text itself, against :func:`reference_plain` — the
   ``dataclasses.asdict``-based canonicalizer the keys were first made
   with, kept here as the specification — on drawn configs, program
-  specs, corpus specs and nested payloads.
+  specs, corpus specs and nested payloads;
+* the per-instance rendering memo: equal instances that render apart,
+  mutable fields, short-lived instances and threads all get the
+  reference's text.
 
 The keys were computed before the canonicalizer stopped calling
-``asdict``; a speed-up must leave them unchanged.
+``asdict``; a speed-up must leave them unchanged. Re-pin only with a
+``CACHE_SCHEMA`` bump or a changed set of ``MachineConfig`` or
+``ProgramSpec`` fields; kernel keys also move with ``KERNEL_SCHEMA`` and
+plan keys with ``COLUMNAR_SCHEMA``. CI's ``cache-compat`` job checks
+this rule, and that fingerprints move only with ``CACHE_SCHEMA``, across
+each commit (``scripts/pin_guard.py``).
 """
 
 import dataclasses
 import enum
+import hashlib
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -32,7 +44,9 @@ from hypothesis import strategies as st
 from repro.cli import parse_config
 from repro.core.config import IDEAL_IBTB16, MachineConfig
 from repro.core.exec import SweepPoint, plan_key, point_key, trace_key
-from repro.core.exec.cachekey import CACHE_SCHEMA, canonical_json, sweep_key
+from repro.core.exec import cachekey
+from repro.core.exec.cachekey import CACHE_SCHEMA, canonical_json, digest, sweep_key
+from repro.core.passes import kernel as kernel_passes
 from repro.core.passes.kernel import batch_geometry, kernel_key
 from repro.trace.cfg import ProgramSpec
 from repro.trace.workloads import WORKLOAD_SPECS
@@ -343,3 +357,115 @@ def test_values_outside_json_raise_typeerror_like_the_reference(value):
             reference_plain(payload)
         with pytest.raises(TypeError):
             canonical_json(payload)
+
+
+# -- the rendering memo -------------------------------------------------------
+
+#: Instances that compare equal but render differently (``16 == 16.0``,
+#: ``True == 1``): a memo keyed by value would give both one text.
+EQUAL_BUT_RENDERED_APART = {
+    "width 16 / 16.0": (MachineConfig, {"width": 16}, {"width": 16.0}),
+    "ideal_btb True / 1": (MachineConfig, {"ideal_btb": True}, {"ideal_btb": 1}),
+    "p_load 0 / 0.0": (ProgramSpec, {"p_load": 0}, {"p_load": 0.0}),
+}
+
+
+@pytest.mark.parametrize("first", [0, 1], ids=["in order", "reversed"])
+@pytest.mark.parametrize(
+    "cls, left, right",
+    EQUAL_BUT_RENDERED_APART.values(),
+    ids=EQUAL_BUT_RENDERED_APART.keys(),
+)
+def test_equal_instances_each_render_their_own_values(cls, left, right, first):
+    pair = [cls(**left), cls(**right)]
+    assert pair[0] == pair[1]
+    assert reference_json(pair[0]) != reference_json(pair[1])
+    for obj in (pair[first], pair[1 - first]) * 2:
+        _same_text(obj)
+        _same_text({"held": obj, "seed": SEED})
+
+
+def test_a_replaced_instance_renders_its_own_values():
+    config = parse_config("rbtb:3")
+    spec = WORKLOAD_SPECS["web_frontend"]
+    _same_text(_result_payload(config, spec))
+    for derived in (dataclasses.replace(config, width=8), config.with_(label="x")):
+        _same_text(derived)
+        assert canonical_json(derived) != canonical_json(config)
+    _same_text(dataclasses.replace(spec, p_load=0.5))
+
+
+def test_an_entry_is_served_only_to_its_own_instance():
+    rendered, newcomer = MachineConfig(width=16), MachineConfig(width=16.0)
+    canonical_json(rendered)
+    # What a new instance at a dead one's address would find, were the
+    # dead one's entry still there.
+    entries = cachekey._RENDERINGS._entries
+    entries[id(newcomer)] = entries[id(rendered)]
+    _same_text(newcomer)
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenHolder:
+    name: str
+    items: list
+
+
+def test_a_frozen_dataclass_holding_a_list_follows_its_list():
+    held = FrozenHolder("h", [1, 2])
+    before = digest({"held": held})
+    held.items.append(3)
+    _same_text(held)
+    _same_text({"held": held})
+    assert digest({"held": held}) != before
+
+
+def test_short_lived_instances_leave_no_memo_entries():
+    memos = (cachekey._RENDERINGS, kernel_passes._KEYS)
+    before = [len(memo) for memo in memos]
+    for width in range(10_000):
+        config = MachineConfig(width=width)
+        canonical_json(config)
+        kernel_key(config)
+    del config
+    assert all(len(memo) <= n for memo, n in zip(memos, before))
+
+
+def _reference_key(payload) -> str:
+    return hashlib.sha256(reference_json(payload).encode("utf-8")).hexdigest()
+
+
+def test_threads_keying_short_lived_instances_get_the_reference_keys():
+    """Threads create, key and drop configs and specs whose addresses the
+    others reuse; every key must be the reference's."""
+    base = WORKLOAD_SPECS["kv_store"]
+    failures = []
+
+    def work(worker: int) -> None:
+        try:
+            for i in range(120):
+                number = (worker + i) % 5 + 1
+                config = MachineConfig(width=number if i % 2 else float(number))
+                spec = dataclasses.replace(base, p_load=0 if worker % 2 else 0.0)
+                payload = _result_payload(config, spec)
+                for _ in range(2):
+                    if digest(payload) != _reference_key(payload):
+                        failures.append((worker, i, config.width, spec.p_load))
+        except Exception as exc:  # reported by the assertion below
+            failures.append(exc)
+
+    threads = [
+        threading.Thread(target=work, args=(n,), daemon=True)
+        for n in range(2 * (os.cpu_count() or 1) + 2)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

@@ -61,6 +61,16 @@ def test_parse_errors():
         parse_config("mbbtb:2:nopolicy")
 
 
+def test_parse_config_shares_one_instance_per_normalized_spec():
+    assert parse_config("RBTB:3 ") is parse_config("rbtb:3")
+
+
+def test_bad_spec_raises_on_every_call():
+    for _ in range(2):
+        with pytest.raises(ConfigSpecError):
+            parse_config("rbtb:3:bogus")
+
+
 # -- commands ----------------------------------------------------------------------
 
 def test_cmd_list(capsys):

@@ -1,9 +1,12 @@
 """Unit tests for the static program generator."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.types import ILEN, BranchType
 from repro.trace.cfg import CODE_BASE, ProgramSpec, build_program
+from repro.trace.workloads import WORKLOAD_SPECS
 
 
 def small_spec(**kw):
@@ -147,3 +150,12 @@ def test_callee_pick_is_weighted_choice_by_bisection():
             fast, scan = SplitMix(trial), SplitMix(trial)
             for _ in range(200):
                 assert callees.pick(fast) == scan.weighted_choice(callees.pcs, heats)
+
+
+def test_specs_are_frozen_and_hashable():
+    spec = small_spec()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.p_load = 0.3
+    assert dataclasses.replace(spec, p_load=0.3).p_load == 0.3
+    # Hashable, and the suite's specs are all distinct.
+    assert len(set(WORKLOAD_SPECS.values())) == len(WORKLOAD_SPECS)
