@@ -9,6 +9,9 @@ jobs, and asserts the service-level invariants end to end:
   every requested point was either scheduled once or coalesced;
 * with ``--expect-cold``, the disk cache records exactly one miss per
   unique grid point — i.e. 0 duplicate executions for 2x the requests;
+* the same sweep submitted once more is answered from the cache at
+  admission: ``points_cached`` grows by the grid size, nothing is
+  scheduled, no cache miss is counted, and the result is the twins';
 * SIGTERM drains gracefully: exit code 0 after in-flight work lands.
 
 The winning job's result document is written to ``--out`` in exactly
@@ -416,6 +419,8 @@ def main(argv=None) -> int:
             raise SystemExit("FAIL: wrong request accounting")
         if service["points_coalesced"] < 1:
             raise SystemExit("FAIL: no coalescing observed across twin sweeps")
+        if service["points_cached"] != 0:
+            raise SystemExit("FAIL: a cold cache answered points at admission")
         if (
             service["points_scheduled"] + service["points_coalesced"]
             != service["points_requested"]
@@ -435,6 +440,28 @@ def main(argv=None) -> int:
                     "the chaos run didn't actually exercise recovery"
                 )
 
+        status, doc = _request(port, "POST", "/v1/sweep", spec)
+        if status != 202:
+            raise SystemExit(f"FAIL: warm submission got HTTP {status}: {doc}")
+        doc = _wait_job(port, doc["job"], args.timeout)
+        if doc["status"] != "done" or results[0] != (
+            json.dumps(doc["result"], indent=2, sort_keys=True) + "\n"
+        ):
+            raise SystemExit(f"FAIL: the warm pass differs from the twins: {doc}")
+        _status, warm = _request(port, "GET", "/v1/metrics")
+        grew = {
+            name: warm["service"][name] - service[name]
+            for name in ("points_cached", "points_scheduled")
+        }
+        grew["result_misses"] = warm["cache"].get("result_misses", 0) - (
+            metrics["cache"].get("result_misses", 0)
+        )
+        print(f"warm pass: {grew}")
+        if grew != {"points_cached": unique, "points_scheduled": 0,
+                    "result_misses": 0}:
+            raise SystemExit("FAIL: the warm pass was not answered from the "
+                             "cache at admission")
+
         Path(args.out).write_text(results[0])
         print(f"wrote {args.out}")
 
@@ -443,7 +470,7 @@ def main(argv=None) -> int:
         tail = daemon.stdout.read()
         if rc != 0:
             raise SystemExit(f"FAIL: daemon exited {rc} on SIGTERM: {tail}")
-        print("ok: coalesced, converged, drained cleanly")
+        print("ok: coalesced, converged, answered warm, drained cleanly")
         return 0
     finally:
         if daemon.poll() is None:

@@ -3,13 +3,14 @@
 A *job* is one client request — a single point (``POST /v1/run``) or a
 config × workload sweep grid (``POST /v1/sweep``). Jobs never execute
 anything themselves: every point is admitted into the single-flight
-table (:mod:`repro.service.coalesce`) under its content-hash cache key,
-and only flight *leaders* reach the execution queue. The executor loop
-drains that queue in batches, so concurrent jobs share one pass over
-any shared points. It answers a point the persistent cache holds itself
-(that check runs no simulation) and leases every other one — single
-points and deadlined batches included — onto the daemon's coordinator
-through ``run_points(strict=False, dispatch=...)``: the sessions that
+table (:mod:`repro.service.coalesce`) under its content-hash cache key.
+A new flight the persistent cache holds is answered right there, at
+admission (that probe runs no simulation), and only the other flight
+*leaders* reach the execution queue. The executor loop drains that
+queue in batches, so concurrent jobs share one pass over any shared
+points, and leases every point — single points and deadlined batches
+included — onto the daemon's coordinator through
+``run_points(strict=False, dispatch=...)``: the sessions that
 coordinator owns for the daemon's lifetime, or its ``--dist-listen``
 fleet. No point ever runs in the daemon's process, so an injected or
 real worker crash surfaces as a classified per-point error in the job
@@ -29,7 +30,8 @@ Durability and reliability plumbing (see ``docs/service.md``):
 
 * every accepted job is write-ahead journaled in the
   :class:`~repro.service.store.JobStore` (submit → per-point outcome →
-  terminal state) so a crashed daemon recovers it on restart;
+  terminal state, each step in one fsynced append) so a crashed daemon
+  recovers it on restart;
 * per-job deadlines (``X-Deadline-Ms`` / spec ``timeout_s``) ride on
   flights and propagate into the engine's ``run_points(deadline=...)``
   — an already-expired flight fails at dequeue without dispatching a
@@ -48,6 +50,7 @@ import sys
 import time
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exec import (
@@ -67,7 +70,9 @@ from repro.service.breaker import PoisonBreaker
 from repro.service.coalesce import Flight, SingleFlight
 from repro.service.limits import ClientLimiter
 from repro.service.metrics import ServiceMetrics
-from repro.service.store import JobStore
+from repro.service.store import (
+    JobStore, done_record, point_record, submit_record,
+)
 
 
 class AdmissionError(RuntimeError):
@@ -163,6 +168,9 @@ class Job:
         self.result: Optional[dict] = None
         self.events: List[dict] = []
         self.done = asyncio.Event()
+        #: Journal records held back while the manager admits the job,
+        #: so that step is one append; ``None`` once it is written.
+        self.journal: Optional[List[dict]] = None
 
     # -- event feed ---------------------------------------------------------
 
@@ -176,8 +184,6 @@ class Job:
     def point_done(self, index: int, outcome: PointOutcome) -> bool:
         """Record one point's final outcome; ``True`` when it finished
         the job."""
-        if self.outcomes[index] is not None:  # pragma: no cover - defensive
-            return False
         view = outcome_json(outcome)
         self.outcomes[index] = view
         if outcome.ok:
@@ -317,6 +323,7 @@ class JobManager:
         self.last_heartbeat = time.time()
         self._pending: Deque = deque()
         self._inflight = 0
+        self._running = 0
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._work: Optional[asyncio.Event] = None
         self._drained: Optional[asyncio.Event] = None
@@ -384,7 +391,7 @@ class JobManager:
 
     @property
     def active_jobs(self) -> int:
-        return sum(1 for job in self.jobs.values() if job.status == "running")
+        return self._running
 
     @property
     def queue_depth(self) -> int:
@@ -436,21 +443,22 @@ class JobManager:
         created: Optional[float] = None,
         recovered: bool = False,
     ) -> Job:
-        """Admit one job: coalesce its points and queue the leaders.
+        """Admit one job: coalesce, answer cache hits, queue the rest.
 
         Raises :class:`AdmissionError` when the daemon is draining, the
         client is over its rate limit, or the job queue is full.
         *deadline_s* is a relative budget in seconds, converted to an
         absolute monotonic deadline at admission. Recovery replays call
         with ``recovered=True`` (plus the original ``job_id``/*created*)
-        which bypasses admission control and re-journaling — the job was
-        already admitted, journaled and billed before the crash.
+        which bypasses admission control and the submit record — the job
+        was already admitted, journaled and billed before the crash.
         """
         if not recovered:
             self._admit(client)
         keys = [point_key(point) for point in points]
+        now = time.monotonic()
         deadline = (
-            time.monotonic() + max(0.0, float(deadline_s))
+            now + max(0.0, float(deadline_s))
             if deadline_s is not None
             else None
         )
@@ -470,32 +478,50 @@ class JobManager:
         if created is not None:
             job.created = created
         self.jobs[job.id] = job
+        self._running += 1
         self._trim_history()
         self.metrics.bump("jobs_recovered" if recovered else "jobs_submitted")
         self.metrics.bump("points_requested", len(points))
-        if self.store is not None and not recovered:
-            self.store.record_submit(job)
-        fast_fails: List[Tuple[Flight, PointError]] = []
+        if self.store is not None:
+            job.journal = [] if recovered else [submit_record(job)]
+        # A job past its deadline probes nothing: its points fail at
+        # dequeue, as an X-Deadline-Ms of 0 promises.
+        disk = get_disk_cache() if deadline is None or now < deadline else None
+        # Fast-fails and hits, resolved once "submitted" leads the feed.
+        answered: List[Tuple[Flight, PointOutcome, bool]] = []
         for index, (key, point) in enumerate(zip(keys, points)):
             flight, leader = self.singleflight.admit(key, point)
             flight.subscribe(self._deliver, (job, index))
-            if leader:
-                flight.deadline = deadline
-                blocked = self.breaker.check(key)
-                if blocked is not None:
-                    # Poison point with an open breaker: resolve the
-                    # fresh flight immediately with the cached error —
-                    # no queue entry, no worker. Deferred below so the
-                    # "submitted" event still leads the job's feed.
-                    fast_fails.append((flight, blocked))
-                    self.metrics.bump("points_fast_failed")
-                else:
-                    self._pending.append(flight)
-                    self.metrics.bump("points_scheduled")
-            else:
+            if not leader:
                 flight.widen_deadline(deadline)
                 job.coalesced += 1
                 self.metrics.bump("points_coalesced")
+                continue
+            flight.deadline = deadline
+            blocked = self.breaker.check(key)
+            if blocked is not None:
+                # Poison point with an open breaker: no queue entry, no
+                # worker, no poison evidence.
+                error = PointOutcome(index=0, point=point, error=blocked)
+                answered.append((flight, error, False))
+                self.metrics.bump("points_fast_failed")
+                continue
+            t0 = time.monotonic()
+            # A miss is left for the session that executes the point.
+            result = (
+                disk.load_result(key, count_miss=False)
+                if disk is not None else None
+            )
+            if result is None:
+                self._pending.append(flight)
+                self.metrics.bump("points_scheduled")
+                continue
+            hit = PointOutcome(
+                index=0, point=point, result=result, attempts=1,
+                duration=time.monotonic() - t0,
+            )
+            answered.append((flight, hit, True))
+            self.metrics.bump("points_cached")
         job._emit(
             "submitted",
             kind=kind,
@@ -503,13 +529,12 @@ class JobManager:
             coalesced=job.coalesced,
             client=client,
         )
-        for flight, error in fast_fails:
-            self._resolve_flight(
-                flight.key,
-                PointOutcome(index=0, point=flight.point, error=error),
-                poison_evidence=False,
-            )
-        if self._work is not None:
+        for flight, outcome, evidence in answered:
+            self._resolve_flight(flight.key, outcome, poison_evidence=evidence)
+        if job.journal:
+            self.store.append(job.id, *job.journal)
+        job.journal = None
+        if self._pending and self._work is not None:
             self._work.set()
         return job
 
@@ -564,16 +589,14 @@ class JobManager:
         excess = len(self.jobs) - self.history_limit
         if excess <= 0:
             return
-        evicted = 0
-        for job_id in [
-            jid for jid, job in self.jobs.items() if job.status != "running"
-        ][:excess]:
+        ended = (jid for jid, j in self.jobs.items() if j.status != "running")
+        doomed = list(islice(ended, excess))
+        for job_id in doomed:
             del self.jobs[job_id]
             if self.store is not None:
                 self.store.evict(job_id)
-            evicted += 1
-        if evicted:
-            self.metrics.bump("jobs_evicted", evicted)
+        if doomed:
+            self.metrics.bump("jobs_evicted", len(doomed))
 
     def gc_jobs(self, now: Optional[float] = None) -> int:
         """Evict finished jobs older than ``job_ttl`` (memory + store)."""
@@ -605,16 +628,23 @@ class JobManager:
 
     def _deliver(self, context: Tuple[Job, int], outcome: PointOutcome) -> None:
         job, index = context
-        fresh = job.outcomes[index] is None
+        if job.outcomes[index] is not None:  # pragma: no cover - defensive
+            return
         finished = job.point_done(index, outcome)
-        if self.store is not None and fresh and job.outcomes[index] is not None:
-            self.store.record_point(job.id, index, job.outcomes[index])
         if finished:
+            self._running -= 1
             self.metrics.bump(
                 "jobs_failed" if job.status == "failed" else "jobs_completed"
             )
-            if self.store is not None:
-                self.store.record_done(job)
+        if self.store is None:
+            return
+        records = [point_record(job.id, index, job.outcomes[index])]
+        if finished:
+            records.append(done_record(job))
+        if job.journal is not None:  # mid-admission: submit() appends
+            job.journal += records
+        else:
+            self.store.append(job.id, *records)
 
     def _resolve_flight(
         self,
@@ -695,13 +725,12 @@ class JobManager:
             pass
 
     def _run_batch(self, flights, deadline: Optional[float] = None):
-        """Execute one batch (executor thread); returns the flights leased
-        onto the fleet and their report (``None`` when none was).
+        """Lease one batch onto :attr:`dispatch` (executor thread) and
+        return its report.
 
-        A point the persistent cache holds is answered here, as
-        ``execute_point`` would: that check runs no simulation, and it
-        leaves a miss for the session that executes the point to count.
-        Every other point is leased onto :attr:`dispatch`. The
+        Every flight here missed the cache at admission; the session that
+        runs it probes the cache again (``execute_point``), so a point
+        cached since is not simulated twice on a local fleet. The
         ``on_outcome`` hook hops each final outcome onto the event loop
         as it streams in, so job event feeds update while the batch is
         still running. *deadline* (shared by every flight in the group)
@@ -709,26 +738,9 @@ class JobManager:
         it, sessions still running a point are killed and the point
         classified, queued points fail without dispatch.
         """
-        disk = get_disk_cache()
-        leased = []
-        for index, flight in enumerate(flights):
-            t0 = time.monotonic()
-            result = (
-                disk.load_result(flight.key, count_miss=False)
-                if disk is not None else None
-            )
-            if result is None:
-                leased.append(flight)
-                continue
-            self._hop(flight.key, PointOutcome(
-                index=index, point=flight.point, result=result, attempts=1,
-                duration=time.monotonic() - t0,
-            ))
-        if not leased:
-            return leased, None
-        keys = [flight.key for flight in leased]
-        return leased, run_points(
-            [flight.point for flight in leased],
+        keys = [flight.key for flight in flights]
+        return run_points(
+            [flight.point for flight in flights],
             strict=False,
             policy=self.policy,
             batch=self.batch,
@@ -778,7 +790,7 @@ class JobManager:
                 for deadline, flights in groups.items():
                     self._inflight = len(flights)
                     try:
-                        leased, report = await self._loop.run_in_executor(
+                        report = await self._loop.run_in_executor(
                             self._pool, self._run_batch, flights, deadline
                         )
                     except Exception as exc:
@@ -788,12 +800,10 @@ class JobManager:
                         self._inflight = 0
                         self.last_heartbeat = time.time()
                     self.metrics.bump("batches")
-                    if report is None:
-                        continue
                     self.metrics.fold_resilience(report.counters)
                     # Safety net: resolve anything the streaming hook
                     # missed (it is best-effort by design).
-                    for flight, outcome in zip(leased, report.outcomes):
+                    for flight, outcome in zip(flights, report.outcomes):
                         self._resolve_flight(flight.key, outcome)
                 await self._maybe_prune()
             if self.draining:

@@ -3,7 +3,7 @@
 ``/v1/metrics`` renders four groups:
 
 * ``service`` — the daemon's own counters (jobs admitted/rejected,
-  points requested/executed/coalesced, batches, drain state);
+  points requested/scheduled/cached/coalesced, batches, drain state);
 * ``resilience`` — the fold of every batch's
   :class:`~repro.core.exec.resilience.SweepReport` counters (retries,
   worker crashes, timeouts, ...), i.e. the chaos ledger of everything
@@ -38,6 +38,7 @@ class ServiceMetrics:
         "jobs_rejected_draining",
         "points_requested",
         "points_scheduled",
+        "points_cached",
         "points_coalesced",
         "points_ok",
         "points_failed",

@@ -18,15 +18,15 @@ Routes (see ``docs/service.md`` for the full API reference)::
     GET  /v1/healthz/ready    readiness probe (503 draining/degraded/dead)
     GET  /v1/metrics          service + resilience + cache counters
 
-Every point the result cache cannot answer runs on the one coordinator
-the daemon owns for its lifetime: a loopback one with ``--jobs`` forked
-local sessions, or the ``--dist-listen`` one remote workers connect to.
-Submissions may carry a deadline (``X-Deadline-Ms`` header or a
-``timeout_s`` spec field) that propagates into the engine. On startup,
-once the coordinator is up, the daemon replays its write-ahead job store
-(:mod:`repro.service.store`): finished pre-crash jobs are served from
-the journal, unfinished ones are re-admitted through the normal
-executor path and marked ``recovered``.
+Every point the result cache cannot answer at admission runs on the one
+coordinator the daemon owns for its lifetime: a loopback one with
+``--jobs`` forked local sessions, or the ``--dist-listen`` one remote
+workers connect to. Submissions may carry a deadline (``X-Deadline-Ms``
+header or a ``timeout_s`` spec field) that propagates into the engine.
+On startup, once the coordinator is up, the daemon replays its
+write-ahead job store (:mod:`repro.service.store`): finished pre-crash
+jobs are served from the journal, unfinished ones are re-admitted and
+marked ``recovered``.
 
 SIGTERM/SIGINT trigger a graceful drain: new submissions get ``503``,
 queued and in-flight points finish (their results are already in the
@@ -228,9 +228,9 @@ class Service:
         pre-crash job id answers ``GET /v1/jobs/<id>`` from the first
         accepted connection. Finished jobs are adopted verbatim (result
         document straight from the journal); unfinished ones re-enter
-        through :meth:`JobManager.submit` with ``recovered=True`` — the
-        normal executor path, where the disk cache satisfies every point
-        that completed before the crash. Pre-crash deadlines are
+        through :meth:`JobManager.submit` with ``recovered=True``, where
+        the disk cache answers every point that completed before the
+        crash at admission. Pre-crash deadlines are
         dropped: a budget granted against a dead wall-clock is
         meaningless after restart. Unparseable journals (e.g. a corpus
         workload since deleted) are evicted with a warning, never fatal.
@@ -486,22 +486,25 @@ class Service:
     async def _stream_events(
         self, writer: asyncio.StreamWriter, job: Job
     ) -> None:
-        """NDJSON live feed: one event per line, EOF when the job ends."""
+        """NDJSON live feed: one event per line, every pending event in
+        one write (the first behind the head), EOF when the job ends."""
         head = (
-            "HTTP/1.1 200 OK\r\n"
-            "Content-Type: application/x-ndjson\r\n"
-            "Connection: close\r\n\r\n"
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Connection: close\r\n\r\n"
         )
-        writer.write(head.encode())
-        await writer.drain()
         sent = 0
         while True:
-            while sent < len(job.events):
-                line = json.dumps(job.events[sent], sort_keys=True) + "\n"
-                writer.write(line.encode())
+            pending = job.events[sent:]  # non-empty on the first pass
+            if pending:
+                writer.write(head + "".join(
+                    json.dumps(event, sort_keys=True) + "\n"
+                    for event in pending
+                ).encode())
                 await writer.drain()
-                self.metrics.bump("events_streamed")
-                sent += 1
+                self.metrics.bump("events_streamed", len(pending))
+                sent += len(pending)
+                head = b""
             if job.done.is_set() and sent >= len(job.events):
                 return
             try:

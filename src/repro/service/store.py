@@ -10,8 +10,9 @@ dropped**.
 
 The format deliberately mirrors the engine's checkpoint journal: one
 append-only JSONL file per job under ``<root>/jobs/<job_id>.jsonl``,
-flushed and fsynced per record, torn trailing lines tolerated on read.
-Three record shapes, in lifecycle order::
+one write and one fsync per job step (a job answered at admission
+journals submit, points and done together), torn trailing lines
+tolerated on read. Three record shapes, in lifecycle order::
 
     {"rec": "submit", "job": ..., "kind": "run"|"sweep", "client": ...,
      "spec": {...original request body...}, "created": ts,
@@ -26,9 +27,9 @@ builds exactly the grid the client asked for, and ``sweep`` is the
 engine's order-insensitive :func:`~repro.core.exec.cachekey.sweep_key`
 identity over the job's point keys. A restarted daemon replays every
 journal: jobs with a ``done`` record are served straight from the store
-(result document included); unfinished jobs are re-admitted through the
-normal executor path, where the disk cache satisfies every point that
-completed before the crash — recovery re-simulates only the tail.
+(result document included); unfinished jobs are re-admitted, and the
+disk cache answers every point that completed before the crash at
+admission — recovery re-simulates only the tail.
 
 Storage faults degrade, never crash: the first failed append (disk
 full, permission lost, root replaced by a file) flips the store into
@@ -60,6 +61,38 @@ from repro.core.exec.faults import maybe_kill_daemon
 STORE_SCHEMA = 1
 
 
+def submit_record(job) -> Dict[str, Any]:
+    """The record of one accepted job (journaled before any point)."""
+    return {
+        "rec": "submit",
+        "schema": STORE_SCHEMA,
+        "job": job.id,
+        "kind": job.kind,
+        "client": job.client,
+        "spec": job.spec,
+        "created": job.created,
+        "points": len(job.points),
+        "sweep": sweep_key(job.keys),
+    }
+
+
+def point_record(job_id: str, index: int, view: dict) -> Dict[str, Any]:
+    """The record of one point's final outcome view."""
+    return {"rec": "point", "job": job_id, "index": index, **view}
+
+
+def done_record(job) -> Dict[str, Any]:
+    """The record of the terminal state (result document included)."""
+    return {
+        "rec": "done",
+        "job": job.id,
+        "status": job.status,
+        "finished": job.finished,
+        "failed": job.failed_points,
+        "result": job.result,
+    }
+
+
 @dataclass
 class StoredJob:
     """One job reconstructed from its journal file."""
@@ -89,7 +122,7 @@ class StoredJob:
 class JobStore:
     """Append-only fsync-journaled job records under one root directory.
 
-    All writes happen on the event-loop thread; per-record open/fsync/
+    All writes happen on the event-loop thread; per-append open/fsync/
     close keeps the store stateless across appends (no fd leaks when
     jobs are evicted) and makes every record durable the moment
     :meth:`append` returns. A failed write flips :attr:`degraded` and is
@@ -110,14 +143,18 @@ class JobStore:
 
     # -- writes --------------------------------------------------------------
 
-    def append(self, job_id: str, record: Dict[str, Any]) -> bool:
-        """Durably append one record; ``False`` when degraded (no-op)."""
+    def append(self, job_id: str, *records: Dict[str, Any]) -> bool:
+        """Durably append *records* with one write and one fsync;
+        ``False`` when degraded (no-op)."""
         if self.degraded:
             return False
+        text = "".join(
+            json.dumps(record, sort_keys=True) + "\n" for record in records
+        )
         try:
             self.jobs_dir.mkdir(parents=True, exist_ok=True)
             with open(self._path(job_id), "a") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+                fh.write(text)
                 fh.flush()
                 os.fsync(fh.fileno())
         except OSError as exc:
@@ -126,43 +163,6 @@ class JobStore:
         self.appends += 1
         maybe_kill_daemon(self.appends)
         return True
-
-    def record_submit(self, job) -> bool:
-        """Journal one accepted job (call before any point executes)."""
-        return self.append(
-            job.id,
-            {
-                "rec": "submit",
-                "schema": STORE_SCHEMA,
-                "job": job.id,
-                "kind": job.kind,
-                "client": job.client,
-                "spec": job.spec,
-                "created": job.created,
-                "points": len(job.points),
-                "sweep": sweep_key(job.keys),
-            },
-        )
-
-    def record_point(self, job_id: str, index: int, view: dict) -> bool:
-        """Journal one point's final outcome view."""
-        return self.append(
-            job_id, {"rec": "point", "job": job_id, "index": index, **view}
-        )
-
-    def record_done(self, job) -> bool:
-        """Journal the terminal state (result document included)."""
-        return self.append(
-            job.id,
-            {
-                "rec": "done",
-                "job": job.id,
-                "status": job.status,
-                "finished": job.finished,
-                "failed": job.failed_points,
-                "result": job.result,
-            },
-        )
 
     def _degrade(self, reason: str) -> None:
         if not self.degraded:

@@ -22,6 +22,7 @@ from repro.core.exec.faults import ENV_FAULT_DIR, ENV_FAULT_HANG, ENV_FAULT_SPEC
 from repro.core.runner import clear_cache
 from repro.service import JobStore, PoisonBreaker, ServiceConfig
 from repro.service.breaker import CIRCUIT_MESSAGE
+from repro.service.store import done_record, point_record, submit_record
 from repro.core.exec import PointError, PointOutcome, SweepPoint
 
 from tests.service.test_service_e2e import LENGTH, SPEC, Daemon
@@ -62,10 +63,14 @@ class _FakeJob:
 def test_store_round_trips_full_job_lifecycle(tmp_path):
     store = JobStore(tmp_path / "state")
     job = _FakeJob()
-    assert store.record_submit(job)
-    assert store.record_point(job.id, 0, {"status": "ok", "attempts": 1})
-    assert store.record_point(job.id, 1, {"status": "ok", "attempts": 2})
-    assert store.record_done(job)
+    assert store.append(job.id, submit_record(job))
+    assert store.append(
+        job.id, point_record(job.id, 0, {"status": "ok", "attempts": 1})
+    )
+    assert store.append(
+        job.id, point_record(job.id, 1, {"status": "ok", "attempts": 2})
+    )
+    assert store.append(job.id, done_record(job))
     assert store.appends == 4
 
     stored = store.load(job.id)
@@ -85,8 +90,8 @@ def test_store_round_trips_full_job_lifecycle(tmp_path):
 def test_store_tolerates_torn_trailing_line(tmp_path):
     store = JobStore(tmp_path / "state")
     job = _FakeJob()
-    store.record_submit(job)
-    store.record_point(job.id, 0, {"status": "ok", "attempts": 1})
+    store.append(job.id, submit_record(job))
+    store.append(job.id, point_record(job.id, 0, {"status": "ok", "attempts": 1}))
     path = store.jobs_dir / f"{job.id}.jsonl"
     with open(path, "a") as fh:
         fh.write('{"rec": "point", "job": "j1", "ind')  # SIGKILL mid-write
@@ -99,8 +104,8 @@ def test_store_load_all_sorted_and_evict(tmp_path):
     store = JobStore(tmp_path / "state")
     newer, older = _FakeJob("jb"), _FakeJob("ja")
     newer.created, older.created = 200.0, 100.0
-    store.record_submit(newer)
-    store.record_submit(older)
+    store.append(newer.id, submit_record(newer))
+    store.append(older.id, submit_record(older))
     assert [s.job_id for s in store.load_all()] == ["ja", "jb"]
     store.evict("ja")
     assert [s.job_id for s in store.load_all()] == ["jb"]
@@ -112,10 +117,11 @@ def test_store_degrades_on_unwritable_root_instead_of_raising(tmp_path):
     blocker = tmp_path / "blocker"
     blocker.write_text("a file where the store root must be")
     store = JobStore(blocker / "state")  # parent is a file: mkdir fails
-    assert store.record_submit(_FakeJob()) is False
+    job = _FakeJob()
+    assert store.append(job.id, submit_record(job)) is False
     assert store.degraded and "append failed" in store.degraded_reason
     # Every later append is a silent no-op, never an exception.
-    assert store.record_done(_FakeJob()) is False
+    assert store.append(job.id, done_record(job)) is False
     assert store.appends == 0
     assert store.probe() is False
 

@@ -170,6 +170,7 @@ def test_concurrent_identical_sweeps_coalesce_and_match_cli(tmp_path):
         # unique point, i.e. 0 duplicate executions.
         assert service["points_requested"] == 2 * unique_points
         assert service["points_coalesced"] >= 1
+        assert service["points_cached"] == 0
         assert (
             service["points_scheduled"] + service["points_coalesced"]
             == service["points_requested"]
@@ -271,6 +272,12 @@ def test_events_stream_replays_full_ndjson_feed(tmp_path):
         point = events[kinds.index("point")]
         assert point["status"] == "ok"
         assert point["workload"] == "web_frontend"
+        # The finished job's replay, sent in one write, is the same bytes.
+        assert daemon.request_raw(
+            "GET", f"/v1/jobs/{sub['job']}/events"
+        ) == (200, raw)
+        _, metrics, _ = daemon.request("GET", "/v1/metrics")
+        assert metrics["service"]["events_streamed"] == 2 * len(events)
     finally:
         assert daemon.drain() == 0
 
