@@ -353,15 +353,9 @@ def _cmd_sweep(args) -> int:
         )
 
     def timed(jobs: int, purge_disk: bool):
-        """One timed sweep phase from an empty in-process memo."""
+        """One timed sweep phase from an empty in-process memo (programs
+        included, so serial and parallel phases pay identical costs)."""
         clear_cache(disk=purge_disk)
-        if purge_disk:
-            # Fully cold: re-build programs and re-synthesize traces too,
-            # so serial and parallel phases pay identical costs.
-            from repro.trace.workloads import get_program, get_trace
-
-            get_program.cache_clear()
-            get_trace.cache_clear()
         before = cache.snapshot() if cache is not None else {}
         t0 = time.perf_counter()
         compared, rep, _ = sweep(jobs)

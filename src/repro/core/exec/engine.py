@@ -33,7 +33,7 @@ import threading
 import time
 import traceback as traceback_module
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.config import MachineConfig, build_simulator
 from repro.core.exec.cachekey import CACHE_SCHEMA, digest, result_key, trace_key
@@ -51,7 +51,9 @@ from repro.core.exec.resilience import (
 )
 from repro.core.simulator import SimResult
 from repro.obs.observer import ObsSpec, Observer
-from repro.trace.workloads import WORKLOAD_SPECS, get_trace
+from repro.trace.cfg import build_program
+from repro.trace.synth import synthesize_trace
+from repro.trace.workloads import WORKLOAD_SPECS, workload_spec
 
 #: Workload names with this prefix resolve to ingested corpus traces
 #: (see :mod:`repro.corpus.resolve`; imported lazily — the corpus
@@ -73,17 +75,55 @@ ENV_DISK_CACHE = "REPRO_DISK_CACHE"
 _disk_cache: Optional[DiskCache] = None
 _disk_cache_configured = False
 
-#: In-process memo of traces loaded from the disk cache (or synthesized),
-#: keyed by (workload, length, seed). ``workloads.get_trace`` memoizes
-#: synthesis; this additionally memoizes disk loads.
-_trace_memo: Dict[Tuple[str, int, int], object] = {}
+#: A *trace group*: the points that share one trace, i.e. one
+#: (workload, length, seed). Per predictor geometry they share one batch
+#: plan too.
+Group = Tuple[str, int, int]
 
-#: In-process memo of batch plans (columnar derivations + predictor
-#: replay consumed by the kernel), keyed by
-#: (workload, length, seed, PredictorGeometry). Leases group points by
-#: trace, so a warm session amortizes one plan across every config of
-#: a geometry family, exactly like the trace memo.
-_plan_memo: Dict[Tuple, object] = {}
+
+class _Resident:
+    """The traces, batch plans and programs this process keeps between
+    points.
+
+    Serial sweeps run group by group (:func:`grouped`) and a lease never
+    mixes groups, so a process needs one group at a time. With the disk
+    cache on, acquiring a group releases every other one before its
+    trace is loaded or synthesized, and the program too once the
+    workload changes: a dropped group loads back from disk. With the
+    disk cache off nothing is released, since a dropped group could only
+    be synthesized again. Releasing drops only these references: a point
+    that holds a trace or plan keeps it, and threads running points of
+    different groups at once stay correct (they may reload from disk,
+    and until the next acquisition keep what each of them stored).
+    """
+
+    def __init__(self) -> None:
+        #: The group acquired last.
+        self.group: Optional[Group] = None
+        self.traces: Dict[Group, object] = {}
+        #: Batch plans, keyed by (group, predictor geometry).
+        self.plans: Dict[Tuple[Group, object], object] = {}
+        #: Programs of synthetic workloads, keyed by workload name.
+        self.programs: Dict[str, object] = {}
+
+    def clear(self) -> None:
+        self.group = None
+        self.traces.clear()
+        self.plans.clear()
+        self.programs.clear()
+
+    def acquire(self, group: Group, release: bool) -> None:
+        """Make *group* the resident group; with *release*, drop every
+        other group, and the program unless the workload is the same."""
+        if release and group != self.group:
+            program = self.programs.get(group[0])
+            self.clear()
+            if program is not None:
+                self.programs[group[0]] = program
+        self.group = group
+
+
+_resident = _Resident()
 
 
 def configure_disk_cache(
@@ -99,8 +139,7 @@ def configure_disk_cache(
     global _disk_cache, _disk_cache_configured
     _disk_cache = DiskCache(root, shard=shard) if enabled else None
     _disk_cache_configured = True
-    _trace_memo.clear()
-    _plan_memo.clear()
+    _resident.clear()
     return _disk_cache
 
 
@@ -133,13 +172,15 @@ def get_disk_cache() -> Optional[DiskCache]:
 
 
 def clear_trace_memo() -> None:
-    """Drop the in-process trace memo (tests use this for isolation)."""
-    _trace_memo.clear()
+    """Release every resident trace group: traces, plans and programs
+    (tests use this for isolation)."""
+    _resident.clear()
 
 
 def clear_plan_memo() -> None:
-    """Drop the in-process batch-plan memo (tests use this for isolation)."""
-    _plan_memo.clear()
+    """Drop the resident batch plans alone (tests use this for
+    isolation)."""
+    _resident.plans.clear()
 
 
 @dataclass(frozen=True)
@@ -185,33 +226,60 @@ def point_key(point: SweepPoint) -> str:
     )
 
 
-def fetch_trace(workload: str, length: int, seed: int):
-    """Trace for *workload*, via memo -> disk cache -> synthesis.
+def trace_group(point: SweepPoint) -> Group:
+    """The trace group of *point*."""
+    return (point.workload, point.length, point.seed)
 
-    ``corpus:`` workloads materialize from the corpus store instead
-    (truncated to *length*; *seed* is irrelevant to a recorded trace) —
-    they already live on disk in sharded form, so they bypass the disk
-    cache's trace tier.
+
+Pair = Tuple[int, SweepPoint]
+
+
+def grouped(pairs: Iterable[Pair]) -> List[Pair]:
+    """*pairs* of ``(index, point)`` ordered group by group: groups in
+    order of first appearance, input order inside each group (the order
+    the serial paths run points in, so each group is resident once)."""
+    groups: Dict[Group, List[Pair]] = {}
+    for pair in pairs:
+        groups.setdefault(trace_group(pair[1]), []).append(pair)
+    return [pair for members in groups.values() for pair in members]
+
+
+def fetch_trace(workload: str, length: int, seed: int):
+    """Trace for *workload*, via the resident group -> disk cache ->
+    synthesis.
+
+    A trace not resident makes its group the resident one first (see
+    :class:`_Resident`). Synthesis builds the program itself (kept while
+    the workload stays resident), so it fills neither of
+    :mod:`repro.trace.workloads`' process-lifetime caches. ``corpus:``
+    workloads materialize from the corpus store instead (truncated to
+    *length*; *seed* is irrelevant to a recorded trace) — they already
+    live on disk in sharded form, so they bypass the disk cache's trace
+    tier.
     """
-    memo_key = (workload, length, seed)
-    trace = _trace_memo.get(memo_key)
+    group = (workload, length, seed)
+    trace = _resident.traces.get(group)
     if trace is not None:
         return trace
+    disk = get_disk_cache()
+    _resident.acquire(group, release=disk is not None)
     if workload.startswith(CORPUS_PREFIX):
         trace = _corpus_resolve().load_corpus_trace(workload, length)
-        _trace_memo[memo_key] = trace
-        return trace
-    disk = get_disk_cache()
-    spec = WORKLOAD_SPECS.get(workload)
-    if disk is not None and spec is not None:
-        key = trace_key(workload, spec, length, seed)
-        trace = disk.load_trace(key)
-        if trace is None:
-            trace = get_trace(workload, length, seed)
-            disk.store_trace(key, trace)
     else:
-        trace = get_trace(workload, length, seed)
-    _trace_memo[memo_key] = trace
+        spec = WORKLOAD_SPECS.get(workload)
+        key = None
+        if disk is not None and spec is not None:
+            key = trace_key(workload, spec, length, seed)
+            trace = disk.load_trace(key)
+        if trace is None:
+            program = _resident.programs.get(workload)
+            if program is None:
+                program = build_program(workload_spec(workload))
+                _resident.programs[workload] = program
+            trace = synthesize_trace(program, length, seed=seed, name=workload)
+            if key is not None:
+                disk.store_trace(key, trace)
+    _resident.traces[group] = trace
     return trace
 
 
@@ -285,8 +353,8 @@ def fetch_batch_plan(point: SweepPoint, trace):
     from repro.trace.columnar import build_batch_plan, build_plan_entry
 
     geometry = batch_geometry(point.config)
-    memo_key = (point.workload, point.length, point.seed, geometry)
-    plan = _plan_memo.get(memo_key)
+    group = trace_group(point)
+    plan = _resident.plans.get((group, geometry))
     if plan is not None:
         return plan
     disk = get_disk_cache()
@@ -316,7 +384,7 @@ def fetch_batch_plan(point: SweepPoint, trace):
             "source": source,
         }
         disk.store_plan(key, payload, meta)
-    _plan_memo[memo_key] = plan
+    _resident.plans[(group, geometry)] = plan
     return plan
 
 
@@ -653,7 +721,7 @@ class _SweepState:
 def _run_serial_resilient(state: _SweepState) -> SweepReport:
     """In-process resilient execution (``jobs=1`` with a policy/journal)."""
     try:
-        for index, point in state.pairs:
+        for index, point in grouped(state.pairs):
             while True:
                 if state.deadline_expired():
                     # Past the deadline nothing more is dispatched —
@@ -711,8 +779,10 @@ def run_points(
 ):
     """Execute every point; results are positionally ordered like *points*.
 
-    ``jobs=1`` runs serially in-process. ``jobs=0`` auto-detects the
-    CPU count (:func:`resolve_jobs`). ``jobs>1`` starts a private
+    ``jobs=1`` runs serially in-process, one trace group after another
+    (:func:`grouped`), so one group is resident at a time (see
+    :class:`_Resident`). ``jobs=0`` auto-detects the CPU count
+    (:func:`resolve_jobs`). ``jobs>1`` starts a private
     work-stealing coordinator on a loopback port and forks up to *jobs*
     session processes that lease trace-affine batches from it, even for
     a single point (:func:`repro.dist.coordinator.run_local`); they are
@@ -774,7 +844,10 @@ def run_points(
         and deadline is None
     ):
         # Legacy fast path: zero resilience overhead.
-        return [execute_point(point) for point in points]
+        results: List[Optional[SimResult]] = [None] * len(points)
+        for index, point in grouped(enumerate(points)):
+            results[index] = execute_point(point)
+        return results
     state = _SweepState(
         points, policy or DEFAULT_POLICY, journal, resume, on_outcome, deadline
     )

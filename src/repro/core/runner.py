@@ -292,11 +292,12 @@ def _suite_names(workloads: Optional[Sequence[str]]) -> List[str]:
 def _run_missing(
     keys: Sequence[Tuple], jobs: int, policy: Optional[RetryPolicy] = None
 ) -> None:
-    """Execute the not-yet-memoized points (in parallel when jobs > 1)
-    and fill the in-process memo."""
+    """Execute the not-yet-memoized points (in parallel when jobs > 1;
+    serially one trace group after another) and fill the in-process
+    memo."""
     missing = [key for key in dict.fromkeys(keys) if key not in _cache]
-    if not missing or (jobs <= 1 and policy is None):
-        return  # serial paths go through run_one's own memoization
+    if not missing:
+        return
     points = [SweepPoint(*key) for key in missing]
     for key, result in zip(
         missing, run_points(points, jobs=jobs, policy=policy)

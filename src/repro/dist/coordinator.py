@@ -45,7 +45,14 @@ from dataclasses import dataclass, field
 from math import ceil
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..core.exec.engine import SweepPoint, get_disk_cache, point_key
+from ..core.exec.engine import (
+    Group,
+    Pair,
+    SweepPoint,
+    get_disk_cache,
+    point_key,
+    trace_group,
+)
 from .protocol import (
     DIST_SCHEMA,
     ConnectionClosed,
@@ -97,16 +104,6 @@ WORKER_COUNTER_NAMES = (
     "reconnects",
 )
 
-Group = Tuple[str, int, int]
-Pair = Tuple[int, SweepPoint]
-
-
-def _group(point: SweepPoint) -> Group:
-    """The shared-trace group of *point*: points of one group reuse one
-    trace (and, per predictor geometry, one batch plan)."""
-    return (point.workload, point.length, point.seed)
-
-
 def pick_lease(
     eligible: Sequence[Pair],
     sessions: int,
@@ -119,8 +116,10 @@ def pick_lease(
     A lease never mixes trace groups, and within its group points are
     ordered so configs sharing a batch-plan geometry land adjacent.
     Group affinity keeps each trace materialized on as few sessions as
-    possible: a group this session already *held*, then one no session
-    has *touched*, then the first. The lease is at most *batch* points,
+    possible: a group this session *held*, then one no session has
+    *touched*, then the first. The coordinator passes as *held* the group
+    resident in the session (its latest lease's) and as *touched* the
+    groups resident in any session. The lease is at most *batch* points,
     or ``ceil(len(eligible) / (sessions * 4))`` so leases shrink as the
     queue drains and the *sessions* stay load-balanced.
     """
@@ -128,9 +127,11 @@ def pick_lease(
         return []
     ordered = sorted(
         eligible,
-        key=lambda pair: (*_group(pair[1]), pair[1].config.bp_size_kb, pair[0]),
+        key=lambda pair: (
+            *trace_group(pair[1]), pair[1].config.bp_size_kb, pair[0]
+        ),
     )
-    groups = list(dict.fromkeys(_group(point) for _, point in ordered))
+    groups = list(dict.fromkeys(trace_group(point) for _, point in ordered))
     held, touched = set(held), set(touched)
     group = next(
         (g for g in groups if g in held),
@@ -140,7 +141,7 @@ def pick_lease(
         bound = max(1, int(batch))
     else:
         bound = max(1, ceil(len(eligible) / (max(1, sessions) * 4)))
-    return [pair for pair in ordered if _group(pair[1]) == group][:bound]
+    return [pair for pair in ordered if trace_group(pair[1]) == group][:bound]
 
 
 @dataclass
@@ -182,7 +183,9 @@ class _Remote:
     #: The session's latest disk-cache counter snapshot (folded into
     #: this process's cache as deltas).
     cache: Dict[str, int] = field(default_factory=dict)
-    groups: Set[Group] = field(default_factory=set)
+    #: The trace group of the session's latest lease: the one resident
+    #: in it (``engine._Resident``), ``None`` before its first lease.
+    group: Optional[Group] = None
     leases: Dict[int, _Lease] = field(default_factory=dict)
     #: Points leased to this session over its lifetime (``recycle``).
     dispatched: int = 0
@@ -684,8 +687,8 @@ class Coordinator:
             return
         state = run.state
         if run.recycle and remote.dispatched >= run.recycle:
-            # Retire between leases (bounding per-process memo growth);
-            # the session's supervisor respawns it.
+            # Retire between leases; the session's supervisor respawns
+            # it.
             state.report.record(
                 state.now(), "worker_retire", worker=remote.worker_id,
                 slot=remote.slot, dispatched=remote.dispatched,
@@ -704,12 +707,12 @@ class Coordinator:
             (qp.index, qp.point) for qp in run.pending if qp.not_before <= now
         ]
         if eligible:
-            touched = set().union(*(w.groups for w in self._workers.values()))
+            resident = {w.group for w in self._workers.values()}
             # A local fleet is sized up front: size the first leases for
             # all of its sessions, not just the ones connected so far.
             sessions = max(len(self._workers), self.fleet.jobs if self.fleet else 0)
             take = pick_lease(
-                eligible, sessions, remote.groups, touched, run.batch
+                eligible, sessions, (remote.group,), resident, run.batch
             )[: int(msg.get("max") or 0) or None]
             taken = {index for index, _ in take}
             run.pending = [qp for qp in run.pending if qp.index not in taken]
@@ -727,7 +730,7 @@ class Coordinator:
         self._next_lease += 1
         lease = _Lease(self._next_lease, run, take, time.monotonic())
         remote.leases[lease.lease_id] = lease
-        remote.groups.add(_group(take[0][1]))
+        remote.group = trace_group(take[0][1])
         remote.dispatched += len(take)
         self._counters["leases"] += 1
         self._counters["points_leased"] += len(take)

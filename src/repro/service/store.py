@@ -12,7 +12,8 @@ The format deliberately mirrors the engine's checkpoint journal: one
 append-only JSONL file per job under ``<root>/jobs/<job_id>.jsonl``,
 one write and one fsync per job step (a job answered at admission
 journals submit, points and done together), torn trailing lines
-tolerated on read. Three record shapes, in lifecycle order::
+tolerated on read and terminated when recovery loads the journal. Three
+record shapes, in lifecycle order::
 
     {"rec": "submit", "job": ..., "kind": "run"|"sweep", "client": ...,
      "spec": {...original request body...}, "created": ts,
@@ -198,11 +199,25 @@ class JobStore:
     # -- reads ---------------------------------------------------------------
 
     def load(self, job_id: str) -> Optional[StoredJob]:
-        """Reconstruct one job from its journal (``None`` if absent/empty)."""
+        """Reconstruct one job from its journal (``None`` if absent/empty).
+
+        A torn trailing line (the daemon died mid-write) is terminated
+        here, so the next :meth:`append` starts a line of its own instead
+        of being glued onto the fragment and lost on every later load.
+        """
+        path = self._path(job_id)
         try:
-            text = self._path(job_id).read_text()
+            text = path.read_text()
         except OSError:
             return None
+        if text and not text.endswith("\n") and not self.degraded:
+            try:
+                with open(path, "a") as fh:
+                    fh.write("\n")
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            except OSError as exc:
+                self._degrade(f"journal repair failed: {exc}")
         stored = StoredJob(job_id=job_id)
         for line in text.splitlines():
             line = line.strip()

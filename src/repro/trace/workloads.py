@@ -10,7 +10,9 @@ conditional-branch predictability giving sub-1 geomean MPKI under the
 64 KB perceptron.
 
 Workloads are deterministic functions of their spec (seeded), generated
-on first use and cached in-process.
+on first use and cached in-process for library callers. The sweep engine
+builds its own and keeps only the trace group it is running
+(:mod:`repro.core.exec.engine`).
 """
 
 from __future__ import annotations
@@ -100,16 +102,21 @@ SERVER_SUITE: List[str] = list(WORKLOAD_SPECS)
 SMOKE_SUITE: List[str] = ["web_frontend", "db_oltp", "kv_store", "template_render"]
 
 
-@lru_cache(maxsize=None)
-def get_program(name: str):
-    """Build (and cache) the static program of workload *name*."""
+def workload_spec(name: str) -> ProgramSpec:
+    """The spec of workload *name* (``KeyError`` naming the suite if
+    there is none)."""
     try:
-        spec = WORKLOAD_SPECS[name]
+        return WORKLOAD_SPECS[name]
     except KeyError:
         raise KeyError(
             f"unknown workload {name!r}; available: {', '.join(SERVER_SUITE)}"
         ) from None
-    return build_program(spec)
+
+
+@lru_cache(maxsize=None)
+def get_program(name: str):
+    """Build (and cache) the static program of workload *name*."""
+    return build_program(workload_spec(name))
 
 
 @lru_cache(maxsize=None)

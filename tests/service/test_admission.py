@@ -120,6 +120,30 @@ def test_torn_multi_record_append_recovers_from_the_cache(tmp_path):
         assert daemon.drain() == 0
 
 
+def test_torn_journal_keeps_its_outcome_across_a_second_restart(tmp_path):
+    """The first restart re-answers the torn job and appends point and
+    done to its journal; the second must still read that point."""
+    doc, _ = _warm_run(tmp_path)
+    path, _ = _journal(tmp_path, doc["id"])
+    text = path.read_text()
+    path.write_text(text[: text.index("\n") + 1 + 20])
+    for restart in range(2):
+        daemon = Daemon(_durable(tmp_path))
+        try:
+            status, again, _ = daemon.request("GET", f"/v1/jobs/{doc['id']}")
+        finally:
+            assert daemon.drain() == 0
+        assert status == 200, restart
+        assert again["status"] == "done", restart
+        assert again["result"] == doc["result"], restart
+        [outcome] = again["outcomes"]
+        assert outcome is not None, restart
+        assert outcome["status"] == "ok", restart
+    # The fragment kept a line of its own; the records after it parse.
+    lines = path.read_text().splitlines()
+    assert [json.loads(line)["rec"] for line in lines[2:]] == ["point", "done"]
+
+
 def test_sweep_answers_cached_points_first_and_journals_per_miss(tmp_path):
     configure_disk_cache(True, tmp_path / "cache", shard=True)
     daemon = Daemon(_durable(tmp_path))

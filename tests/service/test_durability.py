@@ -100,6 +100,35 @@ def test_store_tolerates_torn_trailing_line(tmp_path):
     assert stored.outcomes == {0: {"status": "ok", "attempts": 1}}
 
 
+def test_append_after_a_torn_tail_keeps_its_first_record(tmp_path):
+    """Recovery loads a journal whose last line was cut mid-write, then
+    appends what the re-run wrote: the first appended record must start
+    a line of its own, not be glued onto the fragment."""
+    store = JobStore(tmp_path / "state")
+    job = _FakeJob(points=1)
+    store.append(job.id, submit_record(job))
+    path = store.jobs_dir / f"{job.id}.jsonl"
+    whole = json.dumps(point_record(job.id, 0, {"status": "ok"}))
+    with open(path, "a") as fh:
+        fh.write(whole[: len(whole) // 2])  # SIGKILL mid-write
+    recovered = JobStore(tmp_path / "state")
+    stored = recovered.load(job.id)
+    assert stored is not None and stored.outcomes == {}
+    assert path.read_text().endswith("\n")
+    appends = recovered.appends
+    view = {"status": "ok", "attempts": 1}
+    assert recovered.append(
+        job.id, point_record(job.id, 0, view), done_record(job)
+    )
+    assert recovered.appends == appends + 1  # the repair is not an append
+    stored = JobStore(tmp_path / "state").load(job.id)
+    assert stored.terminal and stored.outcomes == {0: view}
+    # A whole journal is left byte for byte as it was.
+    text = path.read_text()
+    JobStore(tmp_path / "state").load(job.id)
+    assert path.read_text() == text
+
+
 def test_store_load_all_sorted_and_evict(tmp_path):
     store = JobStore(tmp_path / "state")
     newer, older = _FakeJob("jb"), _FakeJob("ja")
